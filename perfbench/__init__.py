@@ -1,0 +1,5 @@
+"""Benchmark of the polrot package: seeded workloads, output checks and tracing.
+
+Run it with ``python3 perfbench/run.py --workload NAME --seed N --seconds S
+--trace 0|1`` from the root of a source checkout; see ``run.py``.
+"""
