@@ -16,6 +16,8 @@ from polrot.cli import build_parser, main, parse_angle, _theta_grid
 from polrot.detection import closed_form_sensitivity, pipeline_signal, qcrb_sensitivity
 from polrot.elements import PipelineSpec
 
+DATA = Path(__file__).resolve().parent / "data"
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -194,6 +196,38 @@ def test_fig_unwritable_out_path(capsys):
     )
     assert code == 1
     assert "error" in err
+
+
+# Flag values behind the committed reference grids (see test_sweeps.py),
+# spelled as config keys; fig5 takes its thermal occupation as nth.
+REFERENCE_FLAGS = {
+    "fig2": {"n": 8.0, "t1_steps": 7, "t2_steps": 6},
+    "fig3": {"t_steps": 7, "n_steps": 5},
+    "fig4": {"n": 10.0, "t_steps": 6, "nth_steps": 7},
+    "fig5": {"nth": 0.05, "t_steps": 7, "n_steps": 5},
+}
+
+
+@pytest.mark.parametrize("figure", sorted(REFERENCE_FLAGS))
+def test_fig_flags_and_config_match_reference(capsys, tmp_path, figure):
+    values = REFERENCE_FLAGS[figure]
+    flags = [arg for key, value in values.items() for arg in (f"--{key.replace('_', '-')}", str(value))]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(values))
+    want = (DATA / f"{figure}_ref.csv").read_bytes()
+    for name, args in (("flags", flags), ("config", ["--config", str(cfg)])):
+        out = tmp_path / f"{name}.csv"
+        code, _, err = run_cli(capsys, figure, *args, "--out", str(out))
+        assert code == 0, err
+        assert out.read_bytes() == want, name
+
+
+def test_fig5_config_takes_nth_not_n_th(capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n_th": 0.1}))
+    code, _, err = run_cli(capsys, "fig5", "--config", str(cfg))
+    assert code == 1
+    assert "unknown config keys" in err
 
 
 # -- config files -------------------------------------------------------------

@@ -1,6 +1,7 @@
 """CSV serialization and the published parameter-sweep grids."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +17,17 @@ from polrot.sweeps import (
     format_value,
     serialize_rows,
 )
+
+DATA = Path(__file__).resolve().parent / "data"
+
+# Builder keyword arguments of the committed reference grids; each grid
+# includes t = 1 and, for fig4, both ends of the n_th axis.
+REFERENCE_GRIDS = {
+    "fig2": (fig2_grid, {"n": 8.0, "t1_steps": 7, "t2_steps": 6}),
+    "fig3": (fig3_grid, {"t_steps": 7, "n_steps": 5}),
+    "fig4": (fig4_grid, {"n": 10.0, "t_steps": 6, "nth_steps": 7}),
+    "fig5": (fig5_grid, {"n_th": 0.05, "t_steps": 7, "n_steps": 5}),
+}
 
 
 # -- formatting ---------------------------------------------------------------
@@ -162,3 +174,10 @@ def test_equal_loss_grid_matches_detection_loss_grid():
         spec = PipelineSpec.detection_loss(theta=0.0, n=n, t=t, n_th=0.0)
         _, best = optimal_sensitivity(lambda th: closed_form_sensitivity(spec, th))
         assert row[3] == pytest.approx(best, rel=1e-9)
+
+
+@pytest.mark.parametrize("figure", sorted(REFERENCE_GRIDS))
+def test_grid_matches_reference_csv(figure):
+    builder, kwargs = REFERENCE_GRIDS[figure]
+    want = (DATA / f"{figure}_ref.csv").read_bytes()
+    assert builder(**kwargs).to_csv().encode("utf-8") == want
