@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import fock
+from . import fock, sweeps
 from .detection import (
     closed_form_sensitivity,
     optimal_sensitivity,
@@ -33,7 +33,7 @@ from .detection import (
 )
 from .elements import PipelineSpec
 from .fock import CutoffTooSmallError
-from .sweeps import fig2_grid, fig3_grid, fig4_grid, fig5_grid, serialize_rows
+from .sweeps import serialize_rows
 
 __all__ = ["parse_angle", "build_parser", "main", "entry"]
 
@@ -46,27 +46,43 @@ _FOCK_DEFAULT_NS = (0.5, 1.0, 2.0)
 _FOCK_DEFAULT_TS = (0.5, 0.8, 1.0)
 _FOCK_TOL = 1e-6
 
+# Figure command -> (help, {flag key: type} in flag order).  Each command
+# calls sweeps.<command>_grid, which holds the defaults.
+_FIGURES = {
+    "fig2": ("visibility and optimum over (t1, t2)", {"n": float, "t1_steps": int, "t2_steps": int}),
+    "fig3": ("optimum over (t, n), equal generation loss", {"t_steps": int, "n_steps": int}),
+    "fig4": ("visibility and optimum over (t, n_th)", {"n": float, "t_steps": int, "nth_steps": int}),
+    "fig5": ("optimum over (t, n), thermal detection", {"nth": float, "t_steps": int, "n_steps": int}),
+}
+# Flag keys spelled differently from the builder keyword they set.
+_BUILDER_KEYS = {"nth": "n_th"}
+
 
 def parse_angle(text) -> float:
-    """Angle in radians from a number or a pi-fraction literal like 'pi/4'."""
-    if isinstance(text, (int, float)):
-        return float(text)
+    """Angle in radians from a number or a pi-fraction literal like 'pi/4'.
+
+    Numbers (from a JSON config) are read through str(), which round-trips
+    floats exactly.  Unparsable and non-finite angles raise ValueError.
+    """
     s = str(text).strip().replace(" ", "")
     m = _PI_LITERAL.match(s)
-    if m:
-        coef = float(m.group(2)) if m.group(2) else 1.0
-        if m.group(1) == "-":
-            coef = -coef
-        value = coef * np.pi
-        if m.group(3):
-            value = value / float(m.group(3))
-        return float(value)
     try:
-        return float(s)
-    except ValueError:
+        if m:
+            coef = float(m.group(2)) if m.group(2) else 1.0
+            if m.group(1) == "-":
+                coef = -coef
+            value = coef * np.pi
+            if m.group(3):
+                value = value / float(m.group(3))
+        else:
+            value = float(s)
+    except (ValueError, ZeroDivisionError):
         raise ValueError(
             f"cannot parse angle {text!r}; give radians or a fraction of pi like pi/4"
         ) from None
+    if not math.isfinite(value):
+        raise ValueError(f"angle {text!r} is not finite")
+    return value
 
 
 def _theta_grid(steps: int) -> np.ndarray:
@@ -120,32 +136,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=cmd_sensitivity)
 
-    p = subs.add_parser("fig2", help="visibility and optimum over (t1, t2)")
-    p.add_argument("--n", type=float)
-    p.add_argument("--t1-steps", type=int)
-    p.add_argument("--t2-steps", type=int)
-    _add_common(p)
-    p.set_defaults(func=cmd_fig2)
-
-    p = subs.add_parser("fig3", help="optimum over (t, n), equal generation loss")
-    p.add_argument("--t-steps", type=int)
-    p.add_argument("--n-steps", type=int)
-    _add_common(p)
-    p.set_defaults(func=cmd_fig3)
-
-    p = subs.add_parser("fig4", help="visibility and optimum over (t, n_th)")
-    p.add_argument("--n", type=float)
-    p.add_argument("--t-steps", type=int)
-    p.add_argument("--nth-steps", type=int)
-    _add_common(p)
-    p.set_defaults(func=cmd_fig4)
-
-    p = subs.add_parser("fig5", help="optimum over (t, n), thermal detection")
-    p.add_argument("--nth", type=float)
-    p.add_argument("--t-steps", type=int)
-    p.add_argument("--n-steps", type=int)
-    _add_common(p)
-    p.set_defaults(func=cmd_fig5)
+    for name, (help_text, flags) in _FIGURES.items():
+        p = subs.add_parser(name, help=help_text)
+        for key, kind in flags.items():
+            p.add_argument("--" + key.replace("_", "-"), type=kind)
+        _add_common(p)
+        p.set_defaults(func=cmd_figure, figure=name)
 
     p = subs.add_parser("fock-validate", help="number-basis cross-check")
     p.add_argument("--n", type=float, help="restrict to one photon number (default 0.5, 1, 2)")
@@ -255,42 +251,12 @@ def cmd_sensitivity(ns: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_fig2(ns: argparse.Namespace) -> int:
-    params = _merge(ns, {"n": 10.0, "t1_steps": 46, "t2_steps": 46, "out": None})
-    grid = fig2_grid(
-        n=float(params["n"]),
-        t1_steps=int(params["t1_steps"]),
-        t2_steps=int(params["t2_steps"]),
-    )
-    _emit(grid.to_csv(), params["out"])
-    return 0
-
-
-def cmd_fig3(ns: argparse.Namespace) -> int:
-    params = _merge(ns, {"t_steps": 46, "n_steps": 20, "out": None})
-    grid = fig3_grid(t_steps=int(params["t_steps"]), n_steps=int(params["n_steps"]))
-    _emit(grid.to_csv(), params["out"])
-    return 0
-
-
-def cmd_fig4(ns: argparse.Namespace) -> int:
-    params = _merge(ns, {"n": 10.0, "t_steps": 46, "nth_steps": 46, "out": None})
-    grid = fig4_grid(
-        n=float(params["n"]),
-        t_steps=int(params["t_steps"]),
-        nth_steps=int(params["nth_steps"]),
-    )
-    _emit(grid.to_csv(), params["out"])
-    return 0
-
-
-def cmd_fig5(ns: argparse.Namespace) -> int:
-    params = _merge(ns, {"nth": 0.1, "t_steps": 46, "n_steps": 20, "out": None})
-    grid = fig5_grid(
-        n_th=float(params["nth"]),
-        t_steps=int(params["t_steps"]),
-        n_steps=int(params["n_steps"]),
-    )
+def cmd_figure(ns: argparse.Namespace) -> int:
+    _, flags = _FIGURES[ns.figure]
+    params = _merge(ns, dict.fromkeys([*flags, "out"]))
+    # Only the values given reach the builder, so its defaults apply.
+    kwargs = {_BUILDER_KEYS.get(k, k): kind(params[k]) for k, kind in flags.items() if params[k] is not None}
+    grid = getattr(sweeps, f"{ns.figure}_grid")(**kwargs)
     _emit(grid.to_csv(), params["out"])
     return 0
 

@@ -136,11 +136,16 @@ def pipeline_signal(spec: PipelineSpec) -> float:
     return parity_expectation(apply_transform(state, transform), mode=2)
 
 
-def signal_function(spec: PipelineSpec) -> Callable[[float], float]:
-    """Return theta -> signal, rebuilding the pipeline at each angle."""
+def signal_function(spec: PipelineSpec) -> Callable:
+    """Return theta -> signal for a scalar or an array of angles.
 
-    def fn(theta: float) -> float:
-        return pipeline_signal(replace(spec, theta=float(theta)))
+    The pipeline is rebuilt at each angle.
+    """
+
+    def fn(theta):
+        th = np.asarray(theta, dtype=np.float64)
+        vals = [pipeline_signal(replace(spec, theta=float(x))) for x in th.flat]
+        return vals[0] if th.ndim == 0 else np.reshape(vals, th.shape)
 
     return fn
 
@@ -254,17 +259,6 @@ def estimate(
 # -- scans over the rotation angle -------------------------------------------
 
 
-def _evaluate_grid(fn: Callable, grid: NDArray[np.float64]) -> NDArray[np.float64]:
-    """Apply fn over a grid, vectorized when the callable supports it."""
-    try:
-        vals = np.asarray(fn(grid), dtype=np.float64)
-        if vals.shape == grid.shape:
-            return vals
-    except (TypeError, ValueError):
-        pass
-    return np.array([float(fn(x)) for x in grid], dtype=np.float64)
-
-
 def _golden_min(
     fn: Callable[[float], float], a: float, b: float, xtol: float
 ) -> tuple[float, float]:
@@ -301,13 +295,14 @@ def visibility(
 ) -> float:
     """Fringe visibility (max - min) / (|max| + |min|) over [lo, hi].
 
-    Global extrema are located on a dense angle grid and sharpened by
-    golden-section refinement of the bracketing intervals.
+    Global extrema are located on a dense angle grid, from one call of
+    signal_fn on the whole grid array, and sharpened by golden-section
+    refinement of the bracketing intervals.
     """
     if samples < 3:
         raise ValueError("need at least 3 samples")
     grid = np.linspace(lo, hi, samples)
-    vals = _evaluate_grid(signal_fn, grid)
+    vals = np.broadcast_to(np.asarray(signal_fn(grid), dtype=np.float64), grid.shape)
     if not np.all(np.isfinite(vals)):
         raise ValueError("signal must be finite to compute visibility")
 
@@ -337,15 +332,16 @@ def optimal_sensitivity(
     """Best (theta, delta_theta) of a sensitivity curve on [lo, hi].
 
     The curve may have several local minima separated by divergences, so
-    every local minimum of a seed grid is refined by golden section and the
-    best point encountered anywhere is returned.  The window excludes the
-    endpoints where the signal is always stationary.  Raises if the curve is
+    every local minimum of a seed grid (one call of sens_fn on the whole
+    grid array) is refined by golden section and the best point
+    encountered anywhere is returned.  The window excludes the endpoints
+    where the signal is always stationary.  Raises if the curve is
     divergent across the whole window.
     """
     if seeds < 3:
         raise ValueError("need at least 3 seed points")
     grid = np.linspace(lo, hi, seeds)
-    vals = _evaluate_grid(sens_fn, grid)
+    vals = np.broadcast_to(np.asarray(sens_fn(grid), dtype=np.float64), grid.shape)
     best_x = float(grid[0])
     best_f = math.inf
     for i in range(seeds):

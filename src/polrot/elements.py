@@ -40,6 +40,11 @@ __all__ = [
 
 VARIANTS = ("lossless", "r1", "r2")
 
+# Largest photon number n and thermal occupation n_th a configuration takes.
+# The closed-form sensitivities grow as the cube of either, so beyond this
+# they would overflow the float range.
+_MAX_PHOTONS = float(np.finfo(np.float64).max) ** (1.0 / 3.0) / 8.0
+
 
 def tmsv(n: float) -> GaussianState:
     """Two-mode squeezed vacuum with total mean photon number n.
@@ -197,8 +202,6 @@ class PipelineSpec:
     def __post_init__(self) -> None:
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
-        if self.n < 0:
-            raise ValueError(f"mean photon number must be >= 0, got {self.n}")
         if not np.isfinite(self.theta):
             raise ValueError(f"theta must be finite, got {self.theta}")
         required = {"lossless": (), "r1": ("t1", "t2"), "r2": ("t", "n_th")}[self.variant]
@@ -209,12 +212,11 @@ class PipelineSpec:
                     raise ValueError(f"variant {self.variant!r} requires {name}")
             elif value is not None:
                 raise ValueError(f"variant {self.variant!r} does not take {name}")
-        for name in ("t1", "t2", "t"):
+        # The comparisons are False for NaN, so NaN is rejected with inf.
+        for name, hi in (("t1", 1.0), ("t2", 1.0), ("t", 1.0), ("n", _MAX_PHOTONS), ("n_th", _MAX_PHOTONS)):
             value = getattr(self, name)
-            if value is not None and not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {value}")
-        if self.n_th is not None and self.n_th < 0:
-            raise ValueError(f"n_th must be >= 0, got {self.n_th}")
+            if value is not None and not 0.0 <= value <= hi:
+                raise ValueError(f"{name} must be in [0, {hi:.3g}], got {value}")
 
     @classmethod
     def lossless(cls, theta: float, n: float) -> "PipelineSpec":

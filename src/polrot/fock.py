@@ -163,8 +163,8 @@ class FockDensity:
 
 def required_cutoff(n: float, tail: float = DEFAULT_TAIL) -> int:
     """Smallest per-mode cutoff whose geometric truncation tail is < tail."""
-    if n < 0:
-        raise ValueError(f"mean photon number must be >= 0, got {n}")
+    if not 0.0 <= n < math.inf:
+        raise ValueError(f"mean photon number n must be finite and >= 0, got {n}")
     if not 0.0 < tail < 1.0:
         raise ValueError(f"tail must be in (0, 1), got {tail}")
     t = n / (n + 2.0)
@@ -314,13 +314,6 @@ def rotated_parity(cutoff: int, theta: float, mode: int = 2) -> NDArray[np.compl
 # -- oracle evaluation -------------------------------------------------------
 
 
-def _lossy_density(n: float, t1: float, t2: float, cutoff: int | None, tail: float) -> FockDensity:
-    ket = tmsv_ket(n, cutoff, tail)
-    rho = FockDensity.from_ket(ket)
-    rho = loss_channel(rho, 1, t1)
-    return loss_channel(rho, 2, t2)
-
-
 def oracle_parity(
     n: float,
     theta: float,
@@ -331,16 +324,11 @@ def oracle_parity(
 ) -> float:
     """Number-basis parity of mode 2 for the lossless or generation-loss run.
 
-    Loss acts on the probe before the interferometer.  The lossless case
-    evolves the ket directly; the lossy case stays at the input cutoff and
-    uses the rotated parity operator.
+    A one-case, one-angle oracle_parity_table; t1 = t2 = 1 is the lossless
+    case, which evolves the ket directly.
     """
-    if t1 == 1.0 and t2 == 1.0:
-        out = apply_interferometer(tmsv_ket(n, cutoff, tail), theta)
-        return parity_expectation_fock(out, mode=2)
-    rho = _lossy_density(n, t1, t2, cutoff, tail)
-    m = rotated_parity(rho.cutoff, theta, mode=2)
-    return float(np.real(np.sum(rho.matrix * m.T)))
+    case = None if t1 == 1.0 and t2 == 1.0 else (t1, t2)
+    return oracle_parity_table(n, [theta], [case], cutoff, tail)[0, 0]
 
 
 def oracle_parity_table(

@@ -1,10 +1,11 @@
 """Parameter-sweep grids for the four reference figures, with CSV output.
 
-Each builder evaluates the closed-form signal and sensitivity over a 2-D
-parameter grid and reduces the angle dependence to scalar summaries
-(visibility, optimal operating point).  Output is deterministic: fixed row
-order (first axis outer), 17-significant-digit floats, LF endings, and
-lowercase inf/nan literals, so repeated runs are byte-identical.
+Each builder names its two axes, its configuration and its columns; one
+engine evaluates the closed-form signal and sensitivity over the 2-D grid
+and reduces the angle dependence to scalar summaries (visibility, optimal
+operating point).  Output is deterministic: fixed row order (first axis
+outer), 17-significant-digit floats, LF endings, and lowercase inf/nan
+literals, so repeated runs are byte-identical.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -102,88 +103,65 @@ class SweepGrid:
         Path(path).write_text(self.to_csv(), encoding="utf-8", newline="")
 
 
-def _optimum(spec: PipelineSpec) -> tuple[float, float]:
-    return optimal_sensitivity(lambda th: closed_form_sensitivity(spec, th))
+def _sweep(axes, make_spec, columns, fixed=()) -> SweepGrid:
+    """Grid of closed-form summaries; make_spec(a, b) configures one point.
+
+    Rows run first axis outer and hold the two axis values, then the named
+    columns: theta_opt, delta_theta_opt, and visibility or hl and inv_n.
+    """
+    rows = []
+    for a in axes[0].values():
+        for b in axes[1].values():
+            spec = make_spec(a, b)
+            theta_opt, d_opt = optimal_sensitivity(lambda th: closed_form_sensitivity(spec, th))
+            row = {"theta_opt": theta_opt, "delta_theta_opt": d_opt}
+            if "visibility" in columns:
+                row["visibility"] = visibility(lambda th: closed_form_signal(spec, th))
+            else:
+                row.update(hl=1.0 / (2.0 * spec.n), inv_n=1.0 / spec.n)
+            rows.append([a, b] + [row[name] for name in columns])
+    names = tuple(axis.name for axis in axes) + columns
+    return SweepGrid(axes=axes, columns=names, values=np.array(rows), fixed=fixed)
 
 
-def _fringe_visibility(spec: PipelineSpec) -> float:
-    return visibility(lambda th: closed_form_signal(spec, th))
+_VISIBILITY = ("visibility", "theta_opt", "delta_theta_opt")
+_REFERENCE_LINES = ("theta_opt", "delta_theta_opt", "hl", "inv_n")
 
 
 def fig2_grid(n: float = 10.0, t1_steps: int = 46, t2_steps: int = 46) -> SweepGrid:
     """Visibility and optimal sensitivity vs generation-loss (t1, t2)."""
-    t1_axis = Axis("t1", 0.1, 1.0, t1_steps)
-    t2_axis = Axis("t2", 0.1, 1.0, t2_steps)
-    rows = np.empty((t1_steps * t2_steps, 5))
-    i = 0
-    for t1 in t1_axis.values():
-        for t2 in t2_axis.values():
-            spec = PipelineSpec.generation_loss(0.0, n, t1, t2)
-            theta_opt, d_opt = _optimum(spec)
-            rows[i] = (t1, t2, _fringe_visibility(spec), theta_opt, d_opt)
-            i += 1
-    return SweepGrid(
-        axes=(t1_axis, t2_axis),
-        columns=("t1", "t2", "visibility", "theta_opt", "delta_theta_opt"),
-        values=rows,
+    return _sweep(
+        (Axis("t1", 0.1, 1.0, t1_steps), Axis("t2", 0.1, 1.0, t2_steps)),
+        lambda t1, t2: PipelineSpec.generation_loss(0.0, n, t1, t2),
+        _VISIBILITY,
         fixed=(("n", n),),
     )
 
 
 def fig3_grid(t_steps: int = 46, n_steps: int = 20) -> SweepGrid:
     """Optimal sensitivity vs equal generation loss t and photon number n."""
-    t_axis = Axis("t", 0.1, 1.0, t_steps)
-    n_axis = Axis("n", 1.0, 20.0, n_steps)
-    rows = np.empty((t_steps * n_steps, 6))
-    i = 0
-    for t in t_axis.values():
-        for n in n_axis.values():
-            spec = PipelineSpec.generation_loss(0.0, n, t, t)
-            theta_opt, d_opt = _optimum(spec)
-            rows[i] = (t, n, theta_opt, d_opt, 1.0 / (2.0 * n), 1.0 / n)
-            i += 1
-    return SweepGrid(
-        axes=(t_axis, n_axis),
-        columns=("t", "n", "theta_opt", "delta_theta_opt", "hl", "inv_n"),
-        values=rows,
+    return _sweep(
+        (Axis("t", 0.1, 1.0, t_steps), Axis("n", 1.0, 20.0, n_steps)),
+        lambda t, n: PipelineSpec.generation_loss(0.0, n, t, t),
+        _REFERENCE_LINES,
     )
 
 
 def fig4_grid(n: float = 10.0, t_steps: int = 46, nth_steps: int = 46) -> SweepGrid:
     """Visibility and optimal sensitivity vs detection efficiency and noise."""
-    t_axis = Axis("t", 0.5, 1.0, t_steps)
-    nth_axis = Axis("n_th", 1e-10, 1e-1, nth_steps, spacing="log")
-    rows = np.empty((t_steps * nth_steps, 5))
-    i = 0
-    for t in t_axis.values():
-        for nth in nth_axis.values():
-            spec = PipelineSpec.detection_loss(0.0, n, t, nth)
-            theta_opt, d_opt = _optimum(spec)
-            rows[i] = (t, nth, _fringe_visibility(spec), theta_opt, d_opt)
-            i += 1
-    return SweepGrid(
-        axes=(t_axis, nth_axis),
-        columns=("t", "n_th", "visibility", "theta_opt", "delta_theta_opt"),
-        values=rows,
+    return _sweep(
+        (Axis("t", 0.5, 1.0, t_steps), Axis("n_th", 1e-10, 1e-1, nth_steps, spacing="log")),
+        lambda t, nth: PipelineSpec.detection_loss(0.0, n, t, nth),
+        _VISIBILITY,
         fixed=(("n", n),),
     )
 
 
 def fig5_grid(n_th: float = 0.1, t_steps: int = 46, n_steps: int = 20) -> SweepGrid:
     """Optimal sensitivity vs detection efficiency t and photon number n."""
-    t_axis = Axis("t", 0.5, 1.0, t_steps)
-    n_axis = Axis("n", 1.0, 20.0, n_steps)
-    rows = np.empty((t_steps * n_steps, 6))
-    i = 0
-    for t in t_axis.values():
-        for n in n_axis.values():
-            spec = PipelineSpec.detection_loss(0.0, n, t, n_th)
-            theta_opt, d_opt = _optimum(spec)
-            rows[i] = (t, n, theta_opt, d_opt, 1.0 / (2.0 * n), 1.0 / n)
-            i += 1
-    return SweepGrid(
-        axes=(t_axis, n_axis),
-        columns=("t", "n", "theta_opt", "delta_theta_opt", "hl", "inv_n"),
-        values=rows,
+    return _sweep(
+        (Axis("t", 0.5, 1.0, t_steps), Axis("n", 1.0, 20.0, n_steps)),
+        lambda t, n: PipelineSpec.detection_loss(0.0, n, t, n_th),
+        _REFERENCE_LINES,
         fixed=(("n_th", n_th),),
     )

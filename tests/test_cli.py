@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -56,6 +57,12 @@ def test_parse_angle_rejects_garbage():
     for bad in ("pie", "pi/", "x*pi", "1..2", ""):
         with pytest.raises(ValueError):
             parse_angle(bad)
+
+
+@pytest.mark.parametrize("bad", ["inf", "-inf", "nan", "1e400", float("inf"), float("nan")])
+def test_parse_angle_rejects_non_finite(bad):
+    with pytest.raises(ValueError, match="angle .* is not finite"):
+        parse_angle(bad)
 
 
 def test_theta_grid_hits_quarter_turn_exactly():
@@ -157,6 +164,38 @@ def test_sensitivity_divergent_rows_serialize_inf(capsys):
     assert mid[2] == "0"
     _, rows = parse_csv(out)
     assert rows[-1][1] == pytest.approx(1.403654422, rel=1e-6)
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (("sensitivity", "--theta", "inf", "--n", "10"), "angle 'inf'"),
+        (("sensitivity", "--theta", "1e400"), "angle '1e400'"),
+        (("fock-validate", "--theta", "inf"), "angle 'inf'"),
+        (("sensitivity", "--n", "nan"), "n must be"),
+        (("fig4", "--n", "inf", "--t-steps", "2", "--nth-steps", "2"), "n must be"),
+        (("fig2", "--n", "1e200", "--t1-steps", "2", "--t2-steps", "2"), "n must be"),
+        (("fig5", "--nth", "nan", "--t-steps", "2", "--n-steps", "2"), "n_th must be"),
+        (("signal", "--variant", "r2", "--t", "0.5", "--nth", "inf"), "n_th must be"),
+        (("fock-validate", "--n", "inf", "--cutoff", "5"), "mean photon number n"),
+    ],
+)
+def test_non_finite_or_overflowing_input_exits_one(capsys, argv, named):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert named in err
+    assert "diverges" not in err
+
+
+def test_config_infinite_angle_exits_one(capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"theta": Infinity}')
+    code, _, err = run_cli(capsys, "sensitivity", "--config", str(cfg))
+    assert code == 1
+    assert "angle inf is not finite" in err
 
 
 def test_sensitivity_requires_positive_n(capsys):

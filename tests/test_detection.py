@@ -268,7 +268,7 @@ def test_optimal_sensitivity_equal_loss_avoids_divergent_fringe():
 
 def test_optimal_sensitivity_all_divergent_raises():
     with pytest.raises(ValueError):
-        optimal_sensitivity(lambda th: math.inf)
+        optimal_sensitivity(lambda th: np.full_like(th, np.inf))
 
 
 # -- closed forms -------------------------------------------------------------

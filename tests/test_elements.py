@@ -201,6 +201,23 @@ def test_pipeline_config_rejects_wrong_parameters():
         PipelineSpec(variant="lossless", theta=0.1, n=-1.0)
 
 
+@pytest.mark.parametrize(
+    "kwargs, field",
+    [
+        ({"variant": "lossless", "n": math.nan}, "n must be"),
+        ({"variant": "lossless", "n": math.inf}, "n must be"),
+        ({"variant": "lossless", "n": 1e200}, "n must be"),
+        ({"variant": "r2", "n": 2.0, "t": 0.5, "n_th": math.nan}, "n_th must be"),
+        ({"variant": "r2", "n": 2.0, "t": 0.5, "n_th": math.inf}, "n_th must be"),
+        ({"variant": "r2", "n": 2.0, "t": 0.5, "n_th": 1e200}, "n_th must be"),
+        ({"variant": "r1", "n": 2.0, "t1": math.nan, "t2": 0.5}, "t1 must be"),
+    ],
+)
+def test_pipeline_config_rejects_non_finite_and_overflowing(kwargs, field):
+    with pytest.raises(ValueError, match=field):
+        PipelineSpec(theta=0.1, **kwargs)
+
+
 def test_lossless_pipeline_state_and_size():
     state, s = build_pipeline(PipelineSpec.lossless(theta=0.2, n=1.0))
     assert state.cov.shape == (4, 4)

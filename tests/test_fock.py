@@ -40,6 +40,12 @@ def test_required_cutoff_scales_with_tail():
     assert required_cutoff(1.0, tail=1e-6) < required_cutoff(1.0, tail=1e-12)
 
 
+@pytest.mark.parametrize("n", [-1.0, math.nan, math.inf])
+def test_required_cutoff_rejects_invalid_n(n):
+    with pytest.raises(ValueError, match="mean photon number n"):
+        required_cutoff(n)
+
+
 def test_small_cutoff_raises_with_requirement():
     with pytest.raises(CutoffTooSmallError) as err:
         tmsv_ket(2.0, cutoff=2)
