@@ -261,6 +261,24 @@ def test_fig_flags_and_config_match_reference(capsys, tmp_path, figure):
         assert out.read_bytes() == want, name
 
 
+# Flags behind the committed signal/sensitivity reference curves.  Nine
+# angles put exact multiples of pi/8 on the grid, so the sensitivity files
+# hold the divergent (inf) rows at 0, pi/2 and, for r2, the quarter turn.
+REFERENCE_VARIANT_FLAGS = {
+    "lossless": ["--variant", "lossless", "--n", "10"],
+    "r1": ["--variant", "r1", "--n", "10", "--t1", "0.3", "--t2", "0.9"],
+    "r2": ["--variant", "r2", "--n", "10", "--t", "0.9", "--nth", "0.01"],
+}
+
+
+@pytest.mark.parametrize("variant", sorted(REFERENCE_VARIANT_FLAGS))
+@pytest.mark.parametrize("command", ["signal", "sensitivity"])
+def test_curve_command_matches_reference(capsys, command, variant):
+    code, out, err = run_cli(capsys, command, *REFERENCE_VARIANT_FLAGS[variant], "--theta-steps", "9")
+    assert code == 0, err
+    assert out.encode() == (DATA / f"{command}_{variant}_ref.csv").read_bytes()
+
+
 def test_fig5_config_takes_nth_not_n_th(capsys, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"n_th": 0.1}))
