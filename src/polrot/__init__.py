@@ -8,17 +8,14 @@ truncated number-basis path cross-checks the results.
 """
 
 from .detection import (
-    EstimationResult,
-    classical_fisher,
     closed_form_sensitivity,
     closed_form_signal,
-    estimate,
     optimal_sensitivity,
     outcome_probabilities,
     parity_expectation,
     pipeline_signal,
+    pipeline_slope,
     qcrb_sensitivity,
-    sensitivity,
     signal_function,
     visibility,
 )
@@ -47,28 +44,25 @@ from .phase_space import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "EstimationResult",
     "GaussianState",
     "PipelineSpec",
     "SymplecticTransform",
     "apply_transform",
     "build_pipeline",
     "check_symplectic",
-    "classical_fisher",
     "closed_form_sensitivity",
     "closed_form_signal",
     "detector_vbs",
     "direct_sum",
-    "estimate",
     "optimal_sensitivity",
     "outcome_probabilities",
     "parity_expectation",
     "pipeline_signal",
+    "pipeline_slope",
     "qcrb_sensitivity",
     "qwp",
     "reduce_to_modes",
     "rotator",
-    "sensitivity",
     "signal_function",
     "symplectic_form",
     "thermal",

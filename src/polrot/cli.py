@@ -239,11 +239,11 @@ def cmd_sensitivity(ns: argparse.Namespace) -> int:
     spec = _spec_for(params, 0.0)
     hl = 1.0 / (2.0 * n)
     inv_n = 1.0 / n
-    rows = []
-    for th in _thetas_from(params):
-        d = float(closed_form_sensitivity(spec, float(th)))
-        fisher = 0.0 if math.isinf(d) else 1.0 / (d * d)
-        rows.append((th, d, fisher, hl, inv_n, 0.0))
+    thetas = _thetas_from(params)
+    deltas = closed_form_sensitivity(spec, thetas)
+    # 1/inf**2 = 0: a divergent row carries no Fisher information.
+    fishers = 1.0 / (deltas * deltas)
+    rows = [(th, d, f, hl, inv_n, 0.0) for th, d, f in zip(thetas, deltas, fishers)]
     theta_opt, d_opt = optimal_sensitivity(lambda x: closed_form_sensitivity(spec, x))
     rows.append((theta_opt, d_opt, 1.0 / (d_opt * d_opt), hl, inv_n, 1.0))
     columns = ("theta_rad", "delta_theta", "fisher", "hl", "inv_n", "is_optimal")

@@ -6,9 +6,11 @@ covariance G of that mode:
 
     <P> = exp(-m . G^-1 m) / sqrt(det G)
 
-which is 1 for vacuum and 1/(2*n_th + 1) for a thermal mode.  Metrics built
-on top: two-outcome Fisher information, error-propagation sensitivity,
-fringe visibility, and a global sensitivity optimum over the rotation angle.
+which is 1 for vacuum and 1/(2*n_th + 1) for a thermal mode.  Built on
+top: the exact angle slope d<P>/dtheta, which gives the error-propagation
+sensitivity sqrt(1 - <P>^2) / |d<P>/dtheta| (for this two-outcome readout
+also 1/sqrt of the Fisher information), fringe visibility, and a global
+sensitivity optimum over the rotation angle.
 
 Closed-form expressions for the three sensor variants are provided for fast
 parameter sweeps; they must agree with the matrix pipeline and the test
@@ -18,7 +20,7 @@ suite cross-checks them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Callable
 
 import numpy as np
@@ -28,38 +30,17 @@ from .elements import PipelineSpec, build_pipeline
 from .phase_space import GaussianState, apply_transform, reduce_to_modes
 
 __all__ = [
-    "FD_STEP",
-    "EstimationResult",
     "parity_expectation",
     "outcome_probabilities",
     "pipeline_signal",
     "signal_function",
-    "estimate",
-    "classical_fisher",
-    "sensitivity",
+    "pipeline_slope",
     "visibility",
     "optimal_sensitivity",
     "closed_form_signal",
     "closed_form_sensitivity",
     "qcrb_sensitivity",
 ]
-
-# Central-difference step for derivatives of the signal with respect to the
-# rotation angle; the signal is smooth and O(1), so this balances truncation
-# against roundoff.
-FD_STEP = 1e-5
-
-# Outcome probabilities below this are treated as vanishing when weighting
-# Fisher contributions.  Probabilities come out of (1 - signal)/2 with
-# signal near 1, so their roundoff floor is a few ulps of 1; the threshold
-# sits two orders above that.
-_P_FLOOR = 1e-12
-
-# Derivative estimates below this are treated as exactly zero (stationary
-# point).  Central differences of a smooth O(1) signal carry roundoff of
-# order eps/step ~ 1e-11, so the floor sits above that noise while staying
-# far below any genuine slope.
-_DERIV_FLOOR = 1e-10
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -150,110 +131,32 @@ def signal_function(spec: PipelineSpec) -> Callable:
     return fn
 
 
-# -- estimation metrics ------------------------------------------------------
+# -- exact angle slope -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EstimationResult:
-    """Signal, outcome probabilities, and precision metrics at one angle."""
+def pipeline_slope(spec: PipelineSpec) -> float:
+    """Exact d<P>/dtheta of one configuration through the matrix pipeline.
 
-    theta: float
-    signal: float
-    p_even: float
-    p_odd: float
-    fisher: float
-    sensitivity: float
-
-    def __post_init__(self) -> None:
-        if abs(self.p_even + self.p_odd - 1.0) > 1e-12:
-            raise ValueError("outcome probabilities must sum to 1")
-        if abs(self.signal - (self.p_even - self.p_odd)) > 1e-12:
-            raise ValueError("signal must equal p_even - p_odd")
-        for name in ("p_even", "p_odd"):
-            p = getattr(self, name)
-            if not -1e-12 <= p <= 1.0 + 1e-12:
-                raise ValueError(f"{name} out of range: {p}")
-        if self.fisher < 0.0:
-            raise ValueError(f"Fisher information must be >= 0, got {self.fisher}")
-        if math.isfinite(self.sensitivity) and self.fisher > 0.0:
-            if abs(self.sensitivity * math.sqrt(self.fisher) - 1.0) > 1e-9:
-                raise ValueError("sensitivity and Fisher information are inconsistent")
-
-
-def classical_fisher(
-    signal_fn: Callable[[float], float], theta: float, step: float = FD_STEP
-) -> float:
-    """Two-outcome Fisher information of the parity measurement at theta.
-
-    Sums (dp/dtheta)^2 / p over the even and odd outcomes with central
-    differences.  An outcome whose probability vanishes contributes its
-    analytic limit 2 * p'' when its slope also vanishes; a vanishing
-    probability with nonzero slope means the information diverges and is
-    reported as an error rather than a large number.
+    The rotator is the only element that depends on theta, and its matrix is
+    affine in (cos theta, sin theta), so the composite obeys
+    dS/dtheta = S(theta + pi/2) - (S(theta) + S(theta + pi)) / 2 exactly.
+    With S2 the measured-mode rows of S and V the input covariance, the
+    reduced covariance is G = S2 V S2^T with tangent S2' V S2^T + S2 V S2'^T.
+    The inputs have zero mean, so <P> = det(G)^(-1/2) and
+    d<P>/dtheta = -det(G)^(-3/2) * tr(adj(G) G') / 2.
     """
-    h = float(step)
-    s0 = float(signal_fn(theta))
-    sp = float(signal_fn(theta + h))
-    sm = float(signal_fn(theta - h))
-    total = 0.0
-    for sign in (1.0, -1.0):
-        p0 = (1.0 + sign * s0) / 2.0
-        pp = (1.0 + sign * sp) / 2.0
-        pm = (1.0 + sign * sm) / 2.0
-        dp = (pp - pm) / (2.0 * h)
-        if p0 > _P_FLOOR:
-            total += dp * dp / p0
-        elif abs(dp) * h <= 0.1 * (pp + pm) or abs(dp) <= _DERIV_FLOOR:
-            # Quadratic zero of p: slope is negligible against curvature
-            # (a linear zero would give |dp|*h ~ 0.5*(pp + pm)), so the
-            # contribution takes its analytic limit dp^2/p -> 2 p''.
-            total += max(2.0 * (pp + pm - 2.0 * p0) / (h * h), 0.0)
-        else:
-            raise ValueError(
-                "Fisher information diverges: an outcome probability vanishes "
-                f"with nonzero slope at theta={theta}"
-            )
-    return total
-
-
-def sensitivity(
-    signal_fn: Callable[[float], float], theta: float, step: float = FD_STEP
-) -> float:
-    """Error-propagation angle uncertainty sqrt(1 - s^2) / |ds/dtheta|.
-
-    Parity squares to the identity, so the signal variance is 1 - s^2.
-    Returns inf where the signal is stationary.
-    """
-    h = float(step)
-    s0 = float(signal_fn(theta))
-    ds = (float(signal_fn(theta + h)) - float(signal_fn(theta - h))) / (2.0 * h)
-    var = max(1.0 - s0 * s0, 0.0)
-    if abs(ds) <= _DERIV_FLOOR:
-        return math.inf
-    return math.sqrt(var) / abs(ds)
-
-
-def estimate(
-    signal_fn: Callable[[float], float], theta: float, step: float = FD_STEP
-) -> EstimationResult:
-    """Evaluate signal, probabilities, Fisher information and sensitivity.
-
-    The reported sensitivity is 1/sqrt(F) so the pair is self-consistent by
-    construction (the parity measurement saturates its own two-outcome
-    bound).
-    """
-    s0 = float(signal_fn(theta))
-    p_even, p_odd = outcome_probabilities(s0)
-    fisher = classical_fisher(signal_fn, theta, step=step)
-    sens = math.inf if fisher == 0.0 else 1.0 / math.sqrt(fisher)
-    return EstimationResult(
-        theta=float(theta),
-        signal=s0,
-        p_even=p_even,
-        p_odd=p_odd,
-        fisher=fisher,
-        sensitivity=sens,
-    )
+    state, transform = build_pipeline(spec)
+    s = transform.matrix
+    quarter = build_pipeline(replace(spec, theta=spec.theta + math.pi / 2))[1].matrix
+    half = build_pipeline(replace(spec, theta=spec.theta + math.pi))[1].matrix
+    s2 = s[2:4]
+    ds2 = (quarter - 0.5 * (s + half))[2:4]
+    g = s2 @ state.cov @ s2.T
+    cross = ds2 @ state.cov @ s2.T
+    dg = cross + cross.T
+    det = g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]
+    tr_adj_dg = g[1, 1] * dg[0, 0] - g[0, 1] * dg[1, 0] - g[1, 0] * dg[0, 1] + g[0, 0] * dg[1, 1]
+    return float(-0.5 * tr_adj_dg / det**1.5)
 
 
 # -- scans over the rotation angle -------------------------------------------

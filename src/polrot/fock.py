@@ -168,7 +168,17 @@ def required_cutoff(n: float, tail: float = DEFAULT_TAIL) -> int:
     if not 0.0 < tail < 1.0:
         raise ValueError(f"tail must be in (0, 1), got {tail}")
     t = n / (n + 2.0)
-    c = 0
+    if t == 0.0:
+        return 0
+    if t == 1.0:
+        # Past n ~ 1.8e16 t rounds to 1 and t**k cannot reach the tail;
+        # the exact log of n/(n+2) still gives the cutoff.
+        return math.floor(math.log(tail) / math.log1p(-2.0 / (n + 2.0)))
+    # Start from the log estimate, then settle on the smallest c with
+    # t**(c+1) < tail, the same test a count up from 0 would stop at.
+    c = max(math.floor(math.log(tail) / math.log(t)), 0)
+    while c > 0 and t**c < tail:
+        c -= 1
     while t ** (c + 1) >= tail:
         c += 1
     return c

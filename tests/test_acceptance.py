@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from polrot.detection import (
-    classical_fisher,
     closed_form_sensitivity,
     closed_form_signal,
     optimal_sensitivity,

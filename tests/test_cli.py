@@ -16,6 +16,7 @@ import polrot
 from polrot.cli import build_parser, main, parse_angle, _theta_grid
 from polrot.detection import closed_form_sensitivity, pipeline_signal, qcrb_sensitivity
 from polrot.elements import PipelineSpec
+from polrot.fock import required_cutoff
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -375,6 +376,12 @@ def test_fock_validate_insufficient_cutoff(capsys):
     code, _, err = run_cli(capsys, "fock-validate", "--n", "2", "--cutoff", "2")
     assert code == 2
     assert "33" in err
+
+
+def test_fock_validate_huge_n_names_required_cutoff(capsys):
+    code, _, err = run_cli(capsys, "fock-validate", "--n", "1e17", "--cutoff", "40")
+    assert code == 2
+    assert f"cutoff >= {required_cutoff(1e17)}" in err
 
 
 def test_fock_validate_large_n_needs_cutoff(capsys):

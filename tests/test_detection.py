@@ -1,4 +1,4 @@
-"""Parity readout, Fisher information, sensitivity, and closed forms."""
+"""Parity readout, exact angle slope, sensitivity, and closed forms."""
 
 import math
 
@@ -6,18 +6,14 @@ import numpy as np
 import pytest
 
 from polrot.detection import (
-    FD_STEP,
-    EstimationResult,
-    classical_fisher,
     closed_form_sensitivity,
     closed_form_signal,
-    estimate,
     optimal_sensitivity,
     outcome_probabilities,
     parity_expectation,
     pipeline_signal,
+    pipeline_slope,
     qcrb_sensitivity,
-    sensitivity,
     signal_function,
     visibility,
     _cospi,
@@ -124,85 +120,47 @@ def test_noisy_detection_signal_spot_value():
     assert pipeline_signal(mild) == pytest.approx(0.13942784121230106, abs=1e-12)
 
 
-# -- estimation metrics -------------------------------------------------------
+# -- exact angle slope --------------------------------------------------------
 
 
-def test_estimate_consistency():
-    fn = signal_function(lossless(0.0))
-    r = estimate(fn, np.pi / 8)
-    assert r.signal == pytest.approx(1.0 / math.sqrt(61.0), abs=1e-12)
-    assert r.p_even - r.p_odd == pytest.approx(r.signal, abs=1e-12)
-    assert r.p_even + r.p_odd == pytest.approx(1.0, abs=1e-12)
-    assert r.sensitivity * math.sqrt(r.fisher) == pytest.approx(1.0, abs=1e-9)
-
-
-def test_estimate_stationary_point():
-    fn = signal_function(lossless(0.0))
-    r = estimate(fn, 0.0)
-    assert r.fisher == pytest.approx(0.0, abs=1e-9)
-    assert math.isinf(r.sensitivity)
-
-
-def test_estimation_result_invariants():
-    with pytest.raises(ValueError):
-        EstimationResult(theta=0.0, signal=0.5, p_even=0.8, p_odd=0.25, fisher=1.0, sensitivity=1.0)
-    with pytest.raises(ValueError):
-        EstimationResult(theta=0.0, signal=0.4, p_even=0.75, p_odd=0.25, fisher=1.0, sensitivity=1.0)
-    with pytest.raises(ValueError):
-        EstimationResult(theta=0.0, signal=0.5, p_even=0.75, p_odd=0.25, fisher=-1.0, sensitivity=1.0)
-    with pytest.raises(ValueError):
-        EstimationResult(theta=0.0, signal=0.5, p_even=0.75, p_odd=0.25, fisher=4.0, sensitivity=0.7)
-    # consistent values pass
-    EstimationResult(theta=0.0, signal=0.5, p_even=0.75, p_odd=0.25, fisher=4.0, sensitivity=0.5)
-
-
-def test_classical_fisher_spot_value():
-    # N = 10 at theta = pi/8: F = 4 A sin^2 / (1 + A cos^2)^2 with A = 120
-    fn = signal_function(lossless(0.0))
-    got = classical_fisher(fn, np.pi / 8)
-    assert got == pytest.approx(240.0 / 3721.0, rel=1e-6)
-
-
-def test_classical_fisher_peak_matches_closed_form():
-    # numeric central differences carry O(eps/h^2) noise at the bright
-    # fringe, so the cross-check tolerance is looser than elsewhere
-    for n in (1.0, 5.0, 10.0, 20.0):
-        fn = signal_function(lossless(0.0, n))
-        got = classical_fisher(fn, np.pi / 4)
-        assert got == pytest.approx(4.0 * n * (n + 2.0), rel=5e-6)
-
-
-def test_classical_fisher_matches_closed_form_generic():
-    rng = np.random.default_rng(3)
-    for _ in range(20):
-        n = float(rng.uniform(0.5, 15.0))
-        th = float(rng.uniform(0.05, np.pi / 2 - 0.05))
-        fn = signal_function(lossless(0.0, n))
-        cf = closed_form_sensitivity(PipelineSpec.lossless(theta=th, n=n))
-        if math.isinf(cf):
-            continue
-        assert classical_fisher(fn, th) == pytest.approx(1.0 / cf**2, rel=1e-5)
-
-
-def test_classical_fisher_divergence_raises():
-    # probability hits zero with nonzero slope: information diverges
-    with pytest.raises(ValueError):
-        classical_fisher(lambda th: 1.0 - 2.0 * th, 0.0)
+def slope_sensitivity(spec):
+    """Error-propagation sensitivity from the pipeline signal and slope."""
+    s = pipeline_signal(spec)
+    return math.sqrt(1.0 - s * s) / abs(pipeline_slope(spec))
 
 
 def test_sensitivity_matches_closed_form():
+    # lossless and detection loss; generation loss is checked below
     rng = np.random.default_rng(5)
-    for _ in range(15):
+    for _ in range(40):
         n = float(rng.uniform(1.0, 15.0))
         th = float(rng.uniform(0.1, np.pi / 2 - 0.1))
-        fn = signal_function(lossless(0.0, n))
-        want = closed_form_sensitivity(PipelineSpec.lossless(theta=th, n=n))
-        assert sensitivity(fn, th) == pytest.approx(want, rel=1e-5)
+        for spec in (
+            PipelineSpec.lossless(theta=th, n=n),
+            PipelineSpec.detection_loss(
+                theta=th, n=n, t=float(rng.uniform(0, 1)), n_th=float(rng.uniform(0, 2))
+            ),
+        ):
+            assert slope_sensitivity(spec) == pytest.approx(
+                closed_form_sensitivity(spec), rel=1e-9
+            ), spec
+
+
+def test_fisher_spot_value():
+    # N = 10 at theta = pi/8: F = s'^2 / (1 - s^2) = 4 A sin^2 / (1 + A cos^2)^2
+    # with A = 120
+    spec = lossless(np.pi / 8)
+    s = pipeline_signal(spec)
+    assert pipeline_slope(spec) ** 2 / (1.0 - s * s) == pytest.approx(240.0 / 3721.0, abs=1e-12)
 
 
 def test_sensitivity_stationary_is_inf():
-    fn = signal_function(lossless(0.0))
-    assert math.isinf(sensitivity(fn, 0.0))
+    # the signal is stationary at 0 and pi/2 for every variant, where the
+    # closed form reports inf
+    for th in (0.0, np.pi / 2):
+        for spec in (lossless(th), gen_loss(th, t1=0.3, t2=0.9), det_loss(th, n_th=0.01)):
+            assert math.isinf(closed_form_sensitivity(spec))
+            assert abs(pipeline_slope(spec)) < 1e-14
 
 
 # -- visibility ---------------------------------------------------------------
@@ -296,18 +254,13 @@ def test_closed_form_signal_matches_pipeline():
 
 def test_closed_form_sensitivity_matches_numeric():
     rng = np.random.default_rng(23)
-    for _ in range(20):
+    for _ in range(40):
         n = float(rng.uniform(1.0, 15.0))
         th = float(rng.uniform(0.1, np.pi / 2 - 0.1))
         spec = PipelineSpec.generation_loss(
-            theta=th, n=n, t1=float(rng.uniform(0.2, 1)), t2=float(rng.uniform(0.2, 1))
+            theta=th, n=n, t1=float(rng.uniform(0, 1)), t2=float(rng.uniform(0, 1))
         )
-        want = closed_form_sensitivity(spec)
-        got = sensitivity(signal_function(spec), th)
-        if math.isinf(want):
-            assert got > 1e4
-        else:
-            assert got == pytest.approx(want, rel=2e-4)
+        assert closed_form_sensitivity(spec) == pytest.approx(slope_sensitivity(spec), rel=1e-9), spec
 
 
 def test_closed_form_vectorized_matches_scalar():
@@ -385,6 +338,3 @@ def test_qcrb_sensitivity():
     with pytest.raises(ValueError):
         qcrb_sensitivity(-1.0)
 
-
-def test_finite_step_constant():
-    assert FD_STEP == 1e-5

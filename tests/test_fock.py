@@ -40,6 +40,36 @@ def test_required_cutoff_scales_with_tail():
     assert required_cutoff(1.0, tail=1e-6) < required_cutoff(1.0, tail=1e-12)
 
 
+def _count_up_cutoff(n, tail):
+    # reference: count up from 0 until the geometric tail t**(c+1) drops
+    # below the bound
+    t = n / (n + 2.0)
+    c = 0
+    while t ** (c + 1) >= tail:
+        c += 1
+    return c
+
+
+@pytest.mark.parametrize("tail", [1e-3, DEFAULT_TAIL, 1e-15, 0.5])
+def test_required_cutoff_matches_counting_up(tail):
+    for n in [0.0, 0.5, 1.0, 2.0, *np.logspace(-8, 2, 120)]:
+        assert required_cutoff(float(n), tail) == _count_up_cutoff(float(n), tail), n
+    # counting up takes ~n steps, so for larger n check where it would stop
+    for n in np.logspace(2, 16.2, 400):
+        t = n / (n + 2.0)
+        c = required_cutoff(float(n), tail)
+        assert t ** (c + 1) < tail <= t**c, n
+
+
+def test_required_cutoff_returns_where_t_rounds_to_one():
+    # n / (n + 2) is 1.0 in floating point here, so no power of it falls
+    # below the tail; the cutoff follows (n + 2) / 2 * log(1 / tail)
+    n = 1e17
+    assert n / (n + 2.0) == 1.0
+    want = (n + 2.0) / 2.0 * math.log(1.0 / DEFAULT_TAIL)
+    assert required_cutoff(n) == pytest.approx(want, rel=1e-9)
+
+
 @pytest.mark.parametrize("n", [-1.0, math.nan, math.inf])
 def test_required_cutoff_rejects_invalid_n(n):
     with pytest.raises(ValueError, match="mean photon number n"):
