@@ -16,6 +16,7 @@ configuration error, 2 validation failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -122,7 +123,9 @@ def _add_variant_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--nth", type=float, help="thermal occupation of the detector port (r2)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and never mutated."""
     parser = _Parser(prog="polrot", description=__doc__.splitlines()[0])
     subs = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
@@ -221,12 +224,9 @@ def _emit(text: str, out) -> None:
 
 def cmd_signal(ns: argparse.Namespace) -> int:
     params = _merge(ns, _VARIANT_DEFAULTS)
-    rows = []
-    for th in _thetas_from(params):
-        spec = _spec_for(params, float(th))
-        s = pipeline_signal(spec)
-        p_even, p_odd = outcome_probabilities(s)
-        rows.append((th, s, p_even, p_odd))
+    thetas = _thetas_from(params)
+    signals = pipeline_signal(_spec_for(params, 0.0), thetas)
+    rows = [(th, s, *outcome_probabilities(s)) for th, s in zip(thetas, signals)]
     _emit(serialize_rows(("theta_rad", "signal", "p_even", "p_odd"), rows), params["out"])
     return 0
 
@@ -286,18 +286,14 @@ def cmd_fock_validate(ns: argparse.Namespace) -> int:
         used_cutoff = cutoff if cutoff is not None else fock.required_cutoff(n)
         table = fock.oracle_parity_table(n, thetas, cases, cutoff=used_cutoff)
         for i, case in enumerate(cases):
-            diffs = []
-            detail = ""
-            for j, th in enumerate(thetas):
-                if case is None:
-                    spec = PipelineSpec.lossless(th, n)
-                else:
-                    spec = PipelineSpec.generation_loss(th, n, case[0], case[1])
-                gauss = pipeline_signal(spec)
-                diffs.append(abs(table[i, j] - gauss))
-                if len(thetas) == 1:
-                    detail = f"  fock={table[i, j]:.9f} pipeline={gauss:.9f}"
-            worst = max(diffs)
+            if case is None:
+                spec = PipelineSpec.lossless(0.0, n)
+            else:
+                spec = PipelineSpec.generation_loss(0.0, n, case[0], case[1])
+            fock_row = np.array([table[i, j] for j in range(len(thetas))])
+            gauss = pipeline_signal(spec, np.array(thetas))
+            worst = float(np.max(np.abs(fock_row - gauss)))
+            detail = f"  fock={fock_row[0]:.9f} pipeline={gauss[0]:.9f}" if len(thetas) == 1 else ""
             ok = worst < _FOCK_TOL
             failures += 0 if ok else 1
             label = "lossless" if case is None else f"t1={case[0]:g} t2={case[1]:g}"

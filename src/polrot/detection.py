@@ -20,7 +20,6 @@ suite cross-checks them.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 from typing import Callable
 
 import numpy as np
@@ -91,16 +90,20 @@ def _doubled_angle(theta: NDArray[np.float64]) -> tuple[NDArray[np.float64], NDA
 # -- parity readout ----------------------------------------------------------
 
 
-def parity_expectation(state: GaussianState, mode: int = 2) -> float:
-    """Photon-number parity expectation on one mode of a Gaussian state."""
+def parity_expectation(state: GaussianState, mode: int = 2):
+    """Photon-number parity expectation on one mode of a Gaussian state.
+
+    A float for a single state, an array of the batch shape for a batch.
+    """
     red = reduce_to_modes(state, (mode,))
     g = red.cov
-    m = red.mean
-    det = g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]
-    if det <= 0.0:
-        raise ValueError(f"reduced covariance has non-positive determinant {det}")
-    quad = (g[1, 1] * m[0] * m[0] - 2.0 * g[0, 1] * m[0] * m[1] + g[0, 0] * m[1] * m[1]) / det
-    return math.exp(-quad) / math.sqrt(det)
+    m0, m1 = red.mean[..., 0], red.mean[..., 1]
+    det = g[..., 0, 0] * g[..., 1, 1] - g[..., 0, 1] * g[..., 1, 0]
+    if (det <= 0.0).any():
+        raise ValueError(f"reduced covariance has non-positive determinant {np.min(det)}")
+    quad = (g[..., 1, 1] * m0 * m0 - 2.0 * g[..., 0, 1] * m0 * m1 + g[..., 0, 0] * m1 * m1) / det
+    sig = np.exp(-quad) / np.sqrt(det)
+    return float(sig) if sig.ndim == 0 else sig
 
 
 def outcome_probabilities(signal: float) -> tuple[float, float]:
@@ -111,24 +114,19 @@ def outcome_probabilities(signal: float) -> tuple[float, float]:
     return (1.0 + s) / 2.0, (1.0 - s) / 2.0
 
 
-def pipeline_signal(spec: PipelineSpec) -> float:
-    """Parity signal of one configuration via the full matrix pipeline."""
-    state, transform = build_pipeline(spec)
+def pipeline_signal(spec: PipelineSpec, theta=None):
+    """Parity signal of a configuration via the full matrix pipeline.
+
+    theta (default: the configuration's angle) may be an array, evaluated as
+    one batch into an array of its shape; a scalar or 0-d angle gives a float.
+    """
+    state, transform = build_pipeline(spec, theta)
     return parity_expectation(apply_transform(state, transform), mode=2)
 
 
 def signal_function(spec: PipelineSpec) -> Callable:
-    """Return theta -> signal for a scalar or an array of angles.
-
-    The pipeline is rebuilt at each angle.
-    """
-
-    def fn(theta):
-        th = np.asarray(theta, dtype=np.float64)
-        vals = [pipeline_signal(replace(spec, theta=float(x))) for x in th.flat]
-        return vals[0] if th.ndim == 0 else np.reshape(vals, th.shape)
-
-    return fn
+    """Return theta -> signal for a scalar or an array of angles."""
+    return lambda theta: pipeline_signal(spec, theta)
 
 
 # -- exact angle slope -------------------------------------------------------
@@ -139,16 +137,15 @@ def pipeline_slope(spec: PipelineSpec) -> float:
 
     The rotator is the only element that depends on theta, and its matrix is
     affine in (cos theta, sin theta), so the composite obeys
-    dS/dtheta = S(theta + pi/2) - (S(theta) + S(theta + pi)) / 2 exactly.
+    dS/dtheta = S(theta + pi/2) - (S(theta) + S(theta + pi)) / 2 exactly,
+    and the three composites are built as one batch.
     With S2 the measured-mode rows of S and V the input covariance, the
     reduced covariance is G = S2 V S2^T with tangent S2' V S2^T + S2 V S2'^T.
     The inputs have zero mean, so <P> = det(G)^(-1/2) and
     d<P>/dtheta = -det(G)^(-3/2) * tr(adj(G) G') / 2.
     """
-    state, transform = build_pipeline(spec)
-    s = transform.matrix
-    quarter = build_pipeline(replace(spec, theta=spec.theta + math.pi / 2))[1].matrix
-    half = build_pipeline(replace(spec, theta=spec.theta + math.pi))[1].matrix
+    state, transform = build_pipeline(spec, spec.theta + np.array([0.0, math.pi / 2, math.pi]))
+    s, quarter, half = transform.matrix
     s2 = s[2:4]
     ds2 = (quarter - 0.5 * (s + half))[2:4]
     g = s2 @ state.cov @ s2.T

@@ -36,6 +36,7 @@ __all__ = [
     "vbs_pair",
     "detector_vbs",
     "build_pipeline",
+    "PIPELINE_MAX_N",
 ]
 
 VARIANTS = ("lossless", "r1", "r2")
@@ -44,6 +45,10 @@ VARIANTS = ("lossless", "r1", "r2")
 # The closed-form sensitivities grow as the cube of either, so beyond this
 # they would overflow the float range.
 _MAX_PHOTONS = float(np.finfo(np.float64).max) ** (1.0 / 3.0) / 8.0
+# Largest n the matrix pipeline takes.  Near the dark fringe its reduced
+# determinant (about 1) loses about n^2 * eps to roundoff, so beyond n = 2e3
+# the signal can miss closed_form_signal by more than 1e-9.
+PIPELINE_MAX_N = 1e3
 
 
 def tmsv(n: float) -> GaussianState:
@@ -116,25 +121,24 @@ def qwp(total_modes: int = 2) -> SymplecticTransform:
     return SymplecticTransform(_embed_upper(block, total_modes))
 
 
-def rotator(theta: float, total_modes: int = 2) -> SymplecticTransform:
+def rotator(theta, total_modes: int = 2) -> SymplecticTransform:
     """Rotation stage: counter-rotates the two probe modes by +-theta.
 
     Mode 1 is rotated by +theta and mode 2 by -theta in its x-p plane, which
-    between the two wave plates produces the measurable signal.
+    between the two wave plates produces the measurable signal.  An array of
+    angles gives a batch of transforms with the array's shape leading.
     """
     if total_modes not in (2, 4):
         raise ValueError(f"rotator acts on 2 probe modes within 2 or 4 total, got {total_modes}")
-    c = math.cos(theta)
-    s = math.sin(theta)
-    block = np.array(
-        [
-            [c, -s, 0.0, 0.0],
-            [s, c, 0.0, 0.0],
-            [0.0, 0.0, c, s],
-            [0.0, 0.0, -s, c],
-        ]
-    )
-    return SymplecticTransform(_embed_upper(block, total_modes))
+    th = np.asarray(theta, dtype=np.float64)
+    c = np.cos(th)
+    s = np.sin(th)
+    mat = np.empty(th.shape + (2 * total_modes, 2 * total_modes))
+    mat[...] = np.eye(2 * total_modes)
+    mat[..., 0, 0] = mat[..., 1, 1] = mat[..., 2, 2] = mat[..., 3, 3] = c
+    mat[..., 0, 1] = mat[..., 3, 2] = -s
+    mat[..., 1, 0] = mat[..., 2, 3] = s
+    return SymplecticTransform(mat)
 
 
 def vbs_pair(t1: float, t2: float) -> SymplecticTransform:
@@ -231,8 +235,11 @@ class PipelineSpec:
         return cls(variant="r2", theta=theta, n=n, t=t, n_th=n_th)
 
 
-def build_pipeline(spec: PipelineSpec) -> tuple[GaussianState, SymplecticTransform]:
+def build_pipeline(spec: PipelineSpec, theta=None) -> tuple[GaussianState, SymplecticTransform]:
     """Assemble the input state and composite symplectic for a configuration.
+
+    theta overrides the configuration's angle; an array of angles gives a
+    batch of composites with the array's shape leading, one per angle.
 
     Composition is eager matrix multiplication, rightmost element first:
 
@@ -245,13 +252,16 @@ def build_pipeline(spec: PipelineSpec) -> tuple[GaussianState, SymplecticTransfo
     Both wave plates share the same self-inverse matrix, so in the lossless
     case the composite is a similarity transform of the rotation stage.
     """
+    if spec.n > PIPELINE_MAX_N:
+        raise ValueError(f"n = {spec.n!r} exceeds the matrix pipeline limit n <= {PIPELINE_MAX_N:g}")
+    theta = spec.theta if theta is None else theta
     if spec.variant == "lossless":
         state = tmsv(spec.n)
-        s = qwp(2) @ rotator(spec.theta, 2) @ qwp(2)
+        s = qwp(2) @ rotator(theta, 2) @ qwp(2)
     elif spec.variant == "r1":
         state = direct_sum(tmsv(spec.n), vacuum(2))
-        s = qwp(4) @ rotator(spec.theta, 4) @ qwp(4) @ vbs_pair(spec.t1, spec.t2)
+        s = qwp(4) @ rotator(theta, 4) @ qwp(4) @ vbs_pair(spec.t1, spec.t2)
     else:  # r2
         state = direct_sum(tmsv(spec.n), thermal(spec.n_th, 2))
-        s = detector_vbs(spec.t) @ qwp(4) @ rotator(spec.theta, 4) @ qwp(4)
+        s = detector_vbs(spec.t) @ qwp(4) @ rotator(theta, 4) @ qwp(4)
     return state, s

@@ -44,9 +44,8 @@ def test_criterion_01_lossless_signal_curves():
     worst = 0.0
     for n in N_SET:
         want = lossless_signal_analytic(n, THETA_GRID_181)
-        for i, th in enumerate(THETA_GRID_181):
-            got = pipeline_signal(PipelineSpec.lossless(theta=float(th), n=n))
-            worst = max(worst, abs(got - want[i]))
+        got = pipeline_signal(PipelineSpec.lossless(theta=0.0, n=n), THETA_GRID_181)
+        worst = max(worst, float(np.max(np.abs(got - want))))
     assert worst < 1e-9
     spot = pipeline_signal(PipelineSpec.lossless(theta=0.0, n=10.0))
     assert spot == pytest.approx(1.0 / 11.0, abs=1e-9)
@@ -95,13 +94,8 @@ def test_criterion_04_generation_loss_grid():
                     theta=0.0, n=n, t1=float(t1), t2=float(t2)
                 )
                 want = closed_form_signal(spec0, THETA_GRID_19)
-                for i, th in enumerate(THETA_GRID_19):
-                    got = pipeline_signal(
-                        PipelineSpec.generation_loss(
-                            theta=float(th), n=n, t1=float(t1), t2=float(t2)
-                        )
-                    )
-                    worst = max(worst, abs(got - want[i]))
+                got = pipeline_signal(spec0, THETA_GRID_19)
+                worst = max(worst, float(np.max(np.abs(got - want))))
     assert worst < 1e-9
     # the transparent corner collapses to the lossless curve
     reduce_worst = 0.0
@@ -124,11 +118,8 @@ def test_criterion_05_detection_loss_grid():
             for nth in NTH_SET:
                 spec0 = PipelineSpec.detection_loss(theta=0.0, n=n, t=float(t), n_th=nth)
                 want = closed_form_signal(spec0, THETA_GRID_19)
-                for i, th in enumerate(THETA_GRID_19):
-                    got = pipeline_signal(
-                        PipelineSpec.detection_loss(theta=float(th), n=n, t=float(t), n_th=nth)
-                    )
-                    worst = max(worst, abs(got - want[i]))
+                got = pipeline_signal(spec0, THETA_GRID_19)
+                worst = max(worst, float(np.max(np.abs(got - want))))
     assert worst < 1e-9
     reduce_worst = 0.0
     for n in N_SET:
@@ -196,14 +187,13 @@ def test_criterion_08_number_basis_oracle():
         cutoffs[n] = required_cutoff(n)
         table = oracle_parity_table(n, thetas, cases)
         for i, case in enumerate(cases):
-            for j, th in enumerate(thetas):
-                if case is None:
-                    spec = PipelineSpec.lossless(theta=float(th), n=n)
-                else:
-                    spec = PipelineSpec.generation_loss(
-                        theta=float(th), n=n, t1=case[0], t2=case[1]
-                    )
-                worst = max(worst, abs(table[i, j] - pipeline_signal(spec)))
+            if case is None:
+                spec = PipelineSpec.lossless(theta=0.0, n=n)
+            else:
+                spec = PipelineSpec.generation_loss(theta=0.0, n=n, t1=case[0], t2=case[1])
+            got = pipeline_signal(spec, np.array(thetas))
+            for j in range(len(thetas)):
+                worst = max(worst, abs(table[i, j] - got[j]))
     elapsed = time.monotonic() - start
     assert worst < 1e-6
     assert elapsed < 120.0

@@ -191,6 +191,22 @@ def test_non_finite_or_overflowing_input_exits_one(capsys, argv, named):
     assert "diverges" not in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("signal", "--n", "3e7"),
+        ("signal", "--n", "1e8", "--theta", "pi/8"),
+        ("signal", "--variant", "r1", "--t1", "0.5", "--t2", "0.7", "--n", "1e7"),
+        ("signal", "--variant", "r2", "--t", "0.9", "--nth", "0.01", "--n", "1001"),
+    ],
+)
+def test_signal_beyond_the_pipeline_limit_exits_one(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert f"n = {float(argv[argv.index('--n') + 1])!r} exceeds the matrix pipeline limit n <= 1000" in err
+
+
 def test_config_infinite_angle_exits_one(capsys, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text('{"theta": Infinity}')

@@ -1,10 +1,12 @@
 """Parity readout, exact angle slope, sensitivity, and closed forms."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from polrot.cli import _theta_grid
 from polrot.detection import (
     closed_form_sensitivity,
     closed_form_signal,
@@ -161,6 +163,40 @@ def test_sensitivity_stationary_is_inf():
         for spec in (lossless(th), gen_loss(th, t1=0.3, t2=0.9), det_loss(th, n_th=0.01)):
             assert math.isinf(closed_form_sensitivity(spec))
             assert abs(pipeline_slope(spec)) < 1e-14
+
+
+# -- batched pipeline ---------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "spec", [lossless(0.0), gen_loss(0.0, t1=0.3, t2=0.9), det_loss(0.0, t=0.7, n_th=0.05)], ids=lambda s: s.variant
+)
+def test_pipeline_batch_matches_scalar_calls(spec):
+    rng = np.random.default_rng(31)
+    thetas = np.concatenate([_theta_grid(181), rng.uniform(-np.pi, np.pi, 64)])
+    batch = pipeline_signal(spec, thetas)
+    scalar = np.array([pipeline_signal(replace(spec, theta=float(th))) for th in thetas])
+    assert np.array_equal(batch, scalar)
+
+
+def test_pipeline_signal_keeps_the_angle_shape():
+    spec = gen_loss(0.4, t1=0.3, t2=0.9)
+    for theta in (None, 0.4, np.float64(0.4), np.array(0.4)):
+        got = pipeline_signal(spec, theta)
+        assert type(got) is float and got == pipeline_signal(spec)
+    grid = np.linspace(0.0, np.pi, 12)
+    flat = pipeline_signal(spec, grid)
+    assert flat.shape == (12,)
+    square = pipeline_signal(spec, grid.reshape(3, 4))
+    assert square.shape == (3, 4)
+    assert np.array_equal(square.ravel(), flat)
+
+
+def test_signal_function_is_one_batched_call():
+    spec = det_loss(0.0, t=0.7, n_th=0.05)
+    thetas = np.linspace(0.0, np.pi / 2, 7)
+    assert np.array_equal(signal_function(spec)(thetas), pipeline_signal(spec, thetas))
+    assert signal_function(spec)(0.3) == pipeline_signal(replace(spec, theta=0.3))
 
 
 # -- visibility ---------------------------------------------------------------

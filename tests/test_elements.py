@@ -1,11 +1,13 @@
 """Input states, element matrices, and the three pipeline variants."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
 from polrot.elements import (
+    PIPELINE_MAX_N,
     VARIANTS,
     PipelineSpec,
     build_pipeline,
@@ -17,6 +19,8 @@ from polrot.elements import (
     vacuum,
     vbs_pair,
 )
+from polrot.cli import _theta_grid
+from polrot.detection import closed_form_signal, pipeline_signal
 from polrot.phase_space import apply_transform, check_symplectic, reduce_to_modes, validate_state
 
 ROOT2 = math.sqrt(2.0)
@@ -267,3 +271,25 @@ def test_pipeline_transforms_are_symplectic():
     ):
         _, s = build_pipeline(spec)
         assert check_symplectic(s).residual < 1e-12
+
+
+def _specs_at(n):
+    return (
+        PipelineSpec.lossless(theta=0.0, n=n),
+        PipelineSpec.generation_loss(theta=0.0, n=n, t1=1.0, t2=0.9),
+        PipelineSpec.detection_loss(theta=0.0, n=n, t=1.0, n_th=0.1),
+    )
+
+
+def test_pipeline_accepts_n_at_its_limit():
+    thetas = _theta_grid(1801)
+    for spec in _specs_at(PIPELINE_MAX_N):
+        got = pipeline_signal(spec, thetas)
+        assert np.max(np.abs(got - closed_form_signal(spec, thetas))) < 1e-9, spec.variant
+
+
+@pytest.mark.parametrize("n", [math.nextafter(PIPELINE_MAX_N, math.inf), 3e7, 1e8])
+def test_pipeline_rejects_n_above_its_limit(n):
+    for spec in _specs_at(n):
+        with pytest.raises(ValueError, match=re.escape(f"n = {n!r} exceeds the matrix pipeline limit n <= 1000")):
+            build_pipeline(spec)

@@ -177,3 +177,46 @@ def test_reductions_stay_physical():
         for keep in ((1,), (2,)):
             diag = validate_state(reduce_to_modes(out, keep))
             assert diag.min_physicality_eigenvalue > -1e-9
+
+
+# -- batches ------------------------------------------------------------------
+
+
+def test_state_stack_with_one_unphysical_cov_raises_the_scalar_error():
+    bad = 0.5 * np.eye(2)
+    with pytest.raises(ValueError) as scalar:
+        GaussianState(mean=np.zeros(2), cov=bad)
+    covs = np.stack([np.eye(2), 3.0 * np.eye(2), bad, np.eye(2)])
+    with pytest.raises(ValueError) as batch:
+        GaussianState(mean=np.zeros((4, 2)), cov=covs)
+    assert str(batch.value) == str(scalar.value)
+
+
+def test_transform_stack_with_one_non_symplectic_slice_raises_the_scalar_error():
+    bad = np.diag([1.0, 2.0, 1.0, 0.5])
+    with pytest.raises(ValueError) as scalar:
+        SymplecticTransform(bad)
+    mats = np.stack([rotator(0.1).matrix, bad, qwp().matrix])
+    with pytest.raises(ValueError) as batch:
+        SymplecticTransform(mats)
+    assert str(batch.value) == str(scalar.value)
+
+
+def test_batch_operations_match_each_member():
+    thetas = np.array([[0.1, 0.7, -2.0], [1.3, 0.0, 3.0]])
+    batch = qwp() @ rotator(thetas) @ qwp()
+    assert batch.matrix.shape == (2, 3, 4, 4) and batch.n_modes == 2
+    out = apply_transform(tmsv(3.0), batch)
+    red = reduce_to_modes(out, (2,))
+    assert out.cov.shape == (2, 3, 4, 4) and out.mean.shape == (2, 3, 4)
+    assert red.cov.shape == (2, 3, 2, 2) and red.mean.shape == (2, 3, 2)
+    for idx in np.ndindex(thetas.shape):
+        one = apply_transform(tmsv(3.0), qwp() @ rotator(float(thetas[idx])) @ qwp())
+        assert np.array_equal(out.cov[idx], one.cov)
+        assert np.array_equal(red.cov[idx], reduce_to_modes(one, (2,)).cov)
+    assert check_symplectic(batch).residual < 1e-12
+
+
+def test_state_batch_shapes_must_agree():
+    with pytest.raises(ValueError, match="batch shape"):
+        GaussianState(mean=np.zeros(4), cov=np.stack([np.eye(4), np.eye(4)]))
