@@ -37,6 +37,7 @@ __all__ = [
     "detector_vbs",
     "build_pipeline",
     "PIPELINE_MAX_N",
+    "PIPELINE_MAX_NTH",
 ]
 
 VARIANTS = ("lossless", "r1", "r2")
@@ -49,6 +50,11 @@ _MAX_PHOTONS = float(np.finfo(np.float64).max) ** (1.0 / 3.0) / 8.0
 # determinant (about 1) loses about n^2 * eps to roundoff, so beyond n = 2e3
 # the signal can miss closed_form_signal by more than 1e-9.
 PIPELINE_MAX_N = 1e3
+# Largest thermal occupation n_th the matrix pipeline takes.  A large n_th
+# costs the signal no precision, but cov + i*Omega has entries near
+# 2*n_th, and from n_th = 6e5 their roundoff can exceed the absolute
+# PHYSICALITY_TOL, so the state fails validation.
+PIPELINE_MAX_NTH = 1e5
 
 
 def tmsv(n: float) -> GaussianState:
@@ -254,6 +260,8 @@ def build_pipeline(spec: PipelineSpec, theta=None) -> tuple[GaussianState, Sympl
     """
     if spec.n > PIPELINE_MAX_N:
         raise ValueError(f"n = {spec.n!r} exceeds the matrix pipeline limit n <= {PIPELINE_MAX_N:g}")
+    if spec.n_th is not None and spec.n_th > PIPELINE_MAX_NTH:
+        raise ValueError(f"n_th = {spec.n_th!r} exceeds the matrix pipeline limit n_th <= {PIPELINE_MAX_NTH:g}")
     theta = spec.theta if theta is None else theta
     if spec.variant == "lossless":
         state = tmsv(spec.n)

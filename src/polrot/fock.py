@@ -30,6 +30,7 @@ from numpy.typing import NDArray
 
 __all__ = [
     "DEFAULT_TAIL",
+    "MAX_DENSE_BYTES",
     "CutoffTooSmallError",
     "FockKet",
     "FockDensity",
@@ -45,7 +46,14 @@ __all__ = [
 
 DEFAULT_TAIL = 1e-10
 
+# Largest d^2 x d^2 complex matrix (bytes) the lossy oracle builds; the loss
+# stage holds three at once.  Cutoff 75 (d = 76) is the last that fits.
+MAX_DENSE_BYTES = 2**29
+
 _NORM_SLACK = 1e-9
+
+# Entries per row block when scanning a density matrix for Hermiticity.
+_HERM_BLOCK = 1 << 16
 
 
 class CutoffTooSmallError(ValueError):
@@ -63,6 +71,21 @@ class CutoffTooSmallError(ValueError):
 def _frozen(arr: NDArray) -> NDArray:
     arr.flags.writeable = False
     return arr
+
+
+def _hermiticity_residual(mat: NDArray[np.complex128]) -> float:
+    """max |M - M^H|, scanned in row blocks so no full-size temporary is made.
+
+    The residual is symmetric, so each block covers its own rows from its
+    first column on; earlier blocks cover the entries left of it.
+    """
+    dim = mat.shape[0]
+    step = max(1, _HERM_BLOCK // max(dim, 1))
+    worst = [0.0]
+    for i in range(0, dim, step):
+        j = min(i + step, dim)
+        worst.append(np.max(np.abs(mat[i:j, i:] - mat[i:, i:j].conj().T)))
+    return float(np.max(worst))
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,7 +149,7 @@ class FockDensity:
         d = math.isqrt(mat.shape[0])
         if d * d != mat.shape[0]:
             raise ValueError(f"dimension {mat.shape[0]} is not a perfect square")
-        herm = float(np.max(np.abs(mat - mat.conj().T)))
+        herm = _hermiticity_residual(mat)
         if herm > 1e-12:
             raise ValueError(f"matrix not Hermitian, residual {herm}")
         tr = float(np.real(np.trace(mat)))
@@ -152,7 +175,7 @@ class FockDensity:
 
     def validate(self) -> dict[str, float]:
         """Hermiticity residual, trace, and minimum eigenvalue (slow)."""
-        herm = float(np.max(np.abs(self.matrix - self.matrix.conj().T)))
+        herm = _hermiticity_residual(self.matrix)
         eigs = np.linalg.eigvalsh(self.matrix)
         return {
             "hermiticity_residual": herm,
@@ -250,35 +273,55 @@ def apply_interferometer(ket: FockKet, theta: float) -> FockKet:
 # -- loss --------------------------------------------------------------------
 
 
+def _kraus_mixers(d: int, t: float) -> list[NDArray[np.float64]]:
+    """Per diagonal offset e, the upper-triangular (d-e) x (d-e) loss matrix.
+
+    amp[k, a] = sqrt(C(a, k) * (1-t)^k * t^(a-k)) is the amplitude of
+    losing k of a photons.  An entry of the lossy mode's ket-bra plane
+    whose indices differ by e and whose lower index is l receives the entry
+    j >= l of the same diagonal with weight amp[j-l, j] * amp[j-l, j+e].
+    """
+    k = np.arange(d)[:, None]
+    a = np.arange(d)[None, :]
+    comb = np.array([[math.comb(i, j) for i in range(d)] for j in range(d)], dtype=np.float64)
+    amp = np.sqrt(comb * (1.0 - t) ** k * t ** np.maximum(a - k, 0).astype(np.float64))
+    mixers = []
+    for e in range(d):
+        j = np.arange(d - e)
+        lost = j[None, :] - j[:, None]
+        above = np.maximum(lost, 0)
+        mixers.append(np.where(lost >= 0, amp[above, j] * amp[above, j + e], 0.0))
+    return mixers
+
+
 def loss_channel(rho: FockDensity, mode: int, t: float) -> FockDensity:
     """Pure photon loss of transmissivity t on one mode (Kraus sum).
 
     Kraus operator k removes k photons with amplitude
     sqrt(C(n, k) * (1-t)^k * t^(n-k)); the channel is trace preserving by
-    the binomial theorem.
+    the binomial theorem.  Loss keeps the ket-bra photon-number difference
+    of the lossy mode, so each diagonal of that plane is mixed on its own,
+    by one real matrix product over all other indices.
     """
     if mode not in (1, 2):
         raise ValueError(f"mode must be 1 or 2, got {mode}")
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"transmissivity must be in [0, 1], got {t}")
     d = rho.cutoff + 1
-    m4 = rho.matrix.reshape(d, d, d, d)
-    out = np.zeros_like(m4)
-    for k in range(d):
-        src = np.arange(k, d)
-        a = np.sqrt(
-            np.array([math.comb(int(nn), k) for nn in src], dtype=np.float64)
-            * (1.0 - t) ** k
-            * t ** (src - k).astype(np.float64)
-        )
-        if mode == 1:
-            out[: d - k, :, : d - k, :] += (
-                a[:, None, None, None] * a[None, None, :, None] * m4[k:, :, k:, :]
-            )
-        else:
-            out[:, : d - k, :, : d - k] += (
-                a[None, :, None, None] * a[None, None, None, :] * m4[:, k:, :, k:]
-            )
+    out = np.zeros((d, d, d, d), dtype=np.complex128)
+    # Views ordered (lossy ket, other ket, lossy bra, other bra).
+    src = rho.matrix.reshape(d, d, d, d)
+    dst = out
+    if mode == 2:
+        src, dst = src.transpose(1, 0, 3, 2), out.transpose(1, 0, 3, 2)
+    mixers = _kraus_mixers(d, t)
+    for delta in range(1 - d, d):
+        e = abs(delta)
+        low = np.arange(d - e)
+        ket, bra = (low + e, low) if delta >= 0 else (low, low + e)
+        diag = np.ascontiguousarray(src[ket, :, bra, :])
+        mixed = mixers[e] @ diag.view(np.float64).reshape(d - e, -1)
+        dst[ket, :, bra, :] = mixed.view(np.complex128).reshape(d - e, d, d)
     return FockDensity(out.reshape(d * d, d * d), tail_bound=rho.tail_bound)
 
 
@@ -296,6 +339,26 @@ def parity_expectation_fock(state: FockKet | FockDensity, mode: int = 2) -> floa
     return float(np.sum(weighted))
 
 
+@lru_cache(maxsize=4)
+def _shell_pairs(cutoff: int) -> tuple[tuple[tuple[int, int], ...], NDArray[np.intp], NDArray[np.intp]]:
+    """Where the shell blocks sit inside the cutoff space.
+
+    Returns, per shell s, the range lo..hi of mode-1 occupations with both
+    occupations <= cutoff, and the flat (row, col) index of every entry of
+    every restricted block, shell by shell and row-major within a block.
+    """
+    d = cutoff + 1
+    ranges, rows, cols = [], [], []
+    for s in range(2 * cutoff + 1):
+        lo, hi = max(0, s - cutoff), min(s, cutoff)
+        keep = np.arange(lo, hi + 1)
+        flat = keep * d + (s - keep)
+        ranges.append((lo, hi))
+        rows.append(np.repeat(flat, flat.size))
+        cols.append(np.tile(flat, flat.size))
+    return tuple(ranges), _frozen(np.concatenate(rows)), _frozen(np.concatenate(cols))
+
+
 def rotated_parity(cutoff: int, theta: float, mode: int = 2) -> NDArray[np.complex128]:
     """Heisenberg-picture parity: U^dag P U restricted to the cutoff space.
 
@@ -307,17 +370,17 @@ def rotated_parity(cutoff: int, theta: float, mode: int = 2) -> NDArray[np.compl
     """
     if mode not in (1, 2):
         raise ValueError(f"mode must be 1 or 2, got {mode}")
-    d = cutoff + 1
-    m = np.zeros((d * d, d * d), dtype=np.complex128)
-    for s in range(2 * cutoff + 1):
-        w = _shell_unitary(s, theta)
+    ranges, rows, cols = _shell_pairs(cutoff)
+    blocks = []
+    for s, (lo, hi) in enumerate(ranges):
         kk = np.arange(s + 1)
         occ = kk if mode == 1 else s - kk
         signs = 1.0 - 2.0 * (occ % 2)
-        block = w.conj().T @ (signs[:, None] * w)
-        keep = kk[(kk >= max(0, s - cutoff)) & (kk <= min(s, cutoff))]
-        flat = keep * d + (s - keep)
-        m[np.ix_(flat, flat)] = block[np.ix_(keep, keep)]
+        w = _shell_unitary(s, theta)[:, lo : hi + 1]
+        blocks.append((w.conj().T @ (signs[:, None] * w)).ravel())
+    d = cutoff + 1
+    m = np.zeros((d * d, d * d), dtype=np.complex128)
+    m[rows, cols] = np.concatenate(blocks)
     return m
 
 
@@ -355,22 +418,32 @@ def oracle_parity_table(
     keeps the large-cutoff runs fast.
     """
     thetas = [float(x) for x in thetas]
+    lossy = [i for i, case in enumerate(cases) if case is not None]
+    if lossy:
+        c = required_cutoff(n, tail) if cutoff is None else cutoff
+        dense = (c + 1) ** 4 * 16
+        if dense > MAX_DENSE_BYTES:
+            raise ValueError(
+                f"cutoff {c} needs {dense} bytes per dense density matrix, "
+                f"above the oracle limit of {MAX_DENSE_BYTES} bytes"
+            )
     ket = tmsv_ket(n, cutoff, tail)
     results: dict[tuple[int, int], float] = {}
-    rhos: dict[int, FockDensity] = {}
     for i, case in enumerate(cases):
         if case is None:
             for j, th in enumerate(thetas):
                 out = apply_interferometer(ket, th)
                 results[i, j] = parity_expectation_fock(out, mode=2)
-        else:
-            t1, t2 = case
-            rho = FockDensity.from_ket(ket)
-            rho = loss_channel(rho, 1, t1)
-            rhos[i] = loss_channel(rho, 2, t2)
-    if rhos:
+    if lossy:
+        # tr(rho M) = sum of rho[q, p] * M[p, q]; M vanishes off the shell
+        # blocks, so only rho's entries there are kept.
+        _, rows, cols = _shell_pairs(ket.cutoff)
+        shell_rho = np.empty((len(lossy), rows.size), dtype=np.complex128)
+        for row, i in zip(shell_rho, lossy):
+            t1, t2 = cases[i]
+            row[:] = loss_channel(loss_channel(FockDensity.from_ket(ket), 1, t1), 2, t2).matrix[cols, rows]
         for j, th in enumerate(thetas):
             m = rotated_parity(ket.cutoff, th, mode=2)
-            for i, rho in rhos.items():
-                results[i, j] = float(np.real(np.sum(rho.matrix * m.T)))
+            for i, value in zip(lossy, shell_rho @ m[rows, cols]):
+                results[i, j] = float(np.real(value))
     return results

@@ -207,6 +207,21 @@ def test_signal_beyond_the_pipeline_limit_exits_one(capsys, argv):
     assert f"n = {float(argv[argv.index('--n') + 1])!r} exceeds the matrix pipeline limit n <= 1000" in err
 
 
+@pytest.mark.parametrize("nth", ["1e9", "100000.00000000001"])
+def test_signal_beyond_the_pipeline_n_th_limit_exits_one(capsys, nth):
+    code, out, err = run_cli(capsys, "signal", "--variant", "r2", "--t", "0.9", "--nth", nth, "--theta", "pi/8")
+    assert code == 1
+    assert out == ""
+    assert f"n_th = {float(nth)!r} exceeds the matrix pipeline limit n_th <= 100000" in err
+
+
+def test_fock_validate_cutoff_too_large_for_memory_exits_one(capsys):
+    code, out, err = run_cli(capsys, "fock-validate", "--n", "1", "--cutoff", "100000", "--t1", "0.9", "--t2", "0.9")
+    assert code == 1
+    assert out == ""
+    assert f"cutoff 100000 needs {100001**4 * 16} bytes" in err
+
+
 def test_config_infinite_angle_exits_one(capsys, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text('{"theta": Infinity}')

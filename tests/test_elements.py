@@ -8,6 +8,7 @@ import pytest
 
 from polrot.elements import (
     PIPELINE_MAX_N,
+    PIPELINE_MAX_NTH,
     VARIANTS,
     PipelineSpec,
     build_pipeline,
@@ -293,3 +294,18 @@ def test_pipeline_rejects_n_above_its_limit(n):
     for spec in _specs_at(n):
         with pytest.raises(ValueError, match=re.escape(f"n = {n!r} exceeds the matrix pipeline limit n <= 1000")):
             build_pipeline(spec)
+
+
+def test_pipeline_accepts_n_th_at_its_limit():
+    thetas = _theta_grid(1801)
+    for n, t in ((0.01, 0.3), (10.0, 0.9), (PIPELINE_MAX_N, 0.2)):
+        spec = PipelineSpec.detection_loss(theta=0.0, n=n, t=t, n_th=PIPELINE_MAX_NTH)
+        want = closed_form_signal(spec, thetas)
+        assert np.max(np.abs(pipeline_signal(spec, thetas) - want)) < 1e-9 * np.max(np.abs(want)), (n, t)
+
+
+@pytest.mark.parametrize("n_th", [math.nextafter(PIPELINE_MAX_NTH, math.inf), 1e7, 1e9])
+def test_pipeline_rejects_n_th_above_its_limit(n_th):
+    spec = PipelineSpec.detection_loss(theta=0.0, n=10.0, t=0.9, n_th=n_th)
+    with pytest.raises(ValueError, match=re.escape(f"n_th = {n_th!r} exceeds the matrix pipeline limit n_th <= 100000")):
+        build_pipeline(spec)

@@ -1,12 +1,16 @@
 """Number-basis oracle: kets, interferometer shells, loss, and parity."""
 
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from polrot import fock
 from polrot.fock import (
     DEFAULT_TAIL,
+    MAX_DENSE_BYTES,
     CutoffTooSmallError,
     FockDensity,
     FockKet,
@@ -231,6 +235,63 @@ def test_complete_loss_empties_one_arm():
         assert arm[m] == pytest.approx(want, abs=1e-9)
 
 
+@pytest.mark.parametrize("block", [16, 48, 1 << 16])
+def test_density_hermiticity_residual_is_the_full_maximum(monkeypatch, block):
+    # the check scans row blocks (one, three or all 16 rows at a time here);
+    # each skew entry, above or below the diagonal, must give the residual
+    # the whole matrix gives
+    monkeypatch.setattr(fock, "_HERM_BLOCK", block)
+    base = _random_density(4, np.random.default_rng(7))
+    assert FockDensity(base).validate()["hermiticity_residual"] == np.max(np.abs(base - base.conj().T))
+    for p, q in ((0, 15), (15, 0), (5, 9), (9, 5), (3, 3)):
+        skew = base.copy()
+        skew[p, q] += 2e-9 + 1e-9j
+        want = float(np.max(np.abs(skew - skew.conj().T)))
+        with pytest.raises(ValueError, match=re.escape(f"matrix not Hermitian, residual {want}")):
+            FockDensity(skew)
+
+
+def _kraus_sum(matrix, mode, t):
+    # reference: the Kraus operators applied one photon count k at a time
+    d = math.isqrt(matrix.shape[0])
+    m4 = matrix.reshape(d, d, d, d)
+    out = np.zeros_like(m4)
+    for k in range(d):
+        src = np.arange(k, d)
+        a = np.sqrt(
+            np.array([math.comb(int(nn), k) for nn in src], dtype=np.float64)
+            * (1.0 - t) ** k
+            * t ** (src - k).astype(np.float64)
+        )
+        if mode == 1:
+            out[: d - k, :, : d - k, :] += (
+                a[:, None, None, None] * a[None, None, :, None] * m4[k:, :, k:, :]
+            )
+        else:
+            out[:, : d - k, :, : d - k] += (
+                a[None, :, None, None] * a[None, None, None, :] * m4[:, k:, :, k:]
+            )
+    return out.reshape(d * d, d * d)
+
+
+def _random_density(d, rng):
+    # full-rank and dense: coherence at every photon-number offset of both
+    # modes, unlike a TMSV, which fills only some offsets
+    g = rng.normal(size=(d * d, d * d)) + 1j * rng.normal(size=(d * d, d * d))
+    m = g @ g.conj().T
+    return m / np.trace(m).real
+
+
+@pytest.mark.parametrize("d", [1, 2, 5, 9])
+@pytest.mark.parametrize("mode", [1, 2])
+@pytest.mark.parametrize("t", [0.0, 0.37, 1.0])
+def test_loss_matches_kraus_sum_on_generic_densities(d, mode, t):
+    rng = np.random.default_rng(100 * d + 10 * mode + int(100 * t))
+    rho = FockDensity(_random_density(d, rng))
+    got = loss_channel(rho, mode, t).matrix
+    assert np.max(np.abs(got - _kraus_sum(rho.matrix, mode, t))) <= 1e-14
+
+
 def test_loss_parameter_validation():
     rho = FockDensity.from_ket(tmsv_ket(0.5))
     with pytest.raises(ValueError):
@@ -276,6 +337,31 @@ def test_rotated_parity_at_zero_is_diagonal():
             assert d[n1 * dim + n2] == pytest.approx((-1.0) ** n2, abs=1e-14)
 
 
+def _per_shell_parity(cutoff, theta, mode):
+    # reference: each shell block restricted and placed with np.ix_
+    d = cutoff + 1
+    m = np.zeros((d * d, d * d), dtype=np.complex128)
+    for s in range(2 * cutoff + 1):
+        kk = np.arange(s + 1)
+        off = np.sqrt((kk[:-1] + 1.0) * (s - kk[:-1]))
+        energies, vecs = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+        u = (vecs * np.exp(1j * theta * energies)) @ vecs.T
+        occ = kk if mode == 1 else s - kk
+        block = u.conj().T @ ((1.0 - 2.0 * (occ % 2))[:, None] * u)
+        keep = kk[(kk >= max(0, s - cutoff)) & (kk <= min(s, cutoff))]
+        flat = keep * d + (s - keep)
+        m[np.ix_(flat, flat)] = block[np.ix_(keep, keep)]
+    return m
+
+
+@pytest.mark.parametrize("cutoff", range(7))
+@pytest.mark.parametrize("mode", [1, 2])
+def test_rotated_parity_matches_per_shell_construction(cutoff, mode):
+    for theta in (0.0, 0.31, np.pi / 4, 2.2):
+        got = rotated_parity(cutoff, theta, mode)
+        assert np.max(np.abs(got - _per_shell_parity(cutoff, theta, mode))) <= 1e-14
+
+
 # -- oracle vs covariance pipeline --------------------------------------------
 
 
@@ -307,6 +393,48 @@ def test_oracle_matches_gaussian_with_loss():
             assert table[i, j] == pytest.approx(
                 closed_form_signal(spec), abs=1e-6
             ), f"case {case} theta {th}"
+
+
+def test_oracle_memory_stays_within_three_dense_matrices():
+    thetas = list(np.linspace(0.0, np.pi / 2, 9))
+    oracle_parity_table(2.0, thetas, [(0.8, 0.5)])  # warm the shell caches
+    tracemalloc.start()
+    try:
+        oracle_parity_table(2.0, thetas, [(0.8, 0.5)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * (34 * 34) ** 2 * 16
+
+
+def test_oracle_rejects_a_cutoff_whose_density_would_not_fit(monkeypatch):
+    def no_ket(*args, **kwargs):
+        raise AssertionError("the ket was built before the size check")
+
+    monkeypatch.setattr(fock, "tmsv_ket", no_ket)
+    cutoff = 10**6
+    want = f"cutoff {cutoff} needs {(cutoff + 1) ** 4 * 16} bytes per dense density matrix"
+    with pytest.raises(ValueError, match=want):
+        oracle_parity_table(1.0, [0.0], [(0.9, 0.9)], cutoff=cutoff)
+
+
+def test_oracle_size_limit_boundary(monkeypatch):
+    # the limit admits exactly the cutoffs whose matrix fits, and it also
+    # applies to the cutoff chosen from the tail bound
+    want = oracle_parity_table(0.5, [0.3], [(0.9, 0.8)])[0, 0]
+    assert required_cutoff(0.5) == 14
+    monkeypatch.setattr(fock, "MAX_DENSE_BYTES", 15**4 * 16)
+    assert oracle_parity_table(0.5, [0.3], [(0.9, 0.8)])[0, 0] == want
+    with pytest.raises(ValueError, match=f"cutoff 15 needs {16**4 * 16} bytes"):
+        oracle_parity_table(0.5, [0.3], [(0.9, 0.8)], cutoff=15)
+    with pytest.raises(ValueError, match="cutoff 20 needs"):
+        oracle_parity_table(1.0, [0.3], [(0.9, 0.8)])
+    # the lossless path builds no density matrix, so no limit applies
+    assert oracle_parity_table(1.0, [0.0], [None])[0, 0] == pytest.approx(0.5, abs=1e-9)
+
+
+def test_size_limit_admits_the_documented_large_probe():
+    assert (required_cutoff(5.0) + 1) ** 4 * 16 <= MAX_DENSE_BYTES
 
 
 def test_mode_matrix_correspondence():
