@@ -415,7 +415,8 @@ def oracle_parity_table(
 
     cases is a sequence of None (lossless) or (t1, t2) pairs.  Densities
     are built once per case and the rotated parity once per angle, which
-    keeps the large-cutoff runs fast.
+    keeps the large-cutoff runs fast.  A lossy case whose dense density
+    would exceed MAX_DENSE_BYTES raises ValueError before anything is built.
     """
     thetas = [float(x) for x in thetas]
     lossy = [i for i, case in enumerate(cases) if case is not None]
