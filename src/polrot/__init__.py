@@ -16,7 +16,6 @@ from .detection import (
     pipeline_signal,
     pipeline_slope,
     qcrb_sensitivity,
-    signal_function,
     visibility,
 )
 from .elements import (
@@ -38,7 +37,6 @@ from .phase_space import (
     direct_sum,
     reduce_to_modes,
     symplectic_form,
-    validate_state,
 )
 
 __version__ = "0.1.0"
@@ -63,12 +61,10 @@ __all__ = [
     "qwp",
     "reduce_to_modes",
     "rotator",
-    "signal_function",
     "symplectic_form",
     "thermal",
     "tmsv",
     "vacuum",
-    "validate_state",
     "vbs_pair",
     "visibility",
 ]

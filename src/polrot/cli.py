@@ -27,12 +27,13 @@ import numpy as np
 
 from . import fock, sweeps
 from .detection import (
+    check_quantum_bound,
     closed_form_sensitivity,
     optimal_sensitivity,
     outcome_probabilities,
     pipeline_signal,
 )
-from .elements import PipelineSpec
+from .elements import VARIANTS, PipelineSpec
 from .fock import CutoffTooSmallError
 from .sweeps import serialize_rows
 
@@ -113,7 +114,7 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
 
 
 def _add_variant_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--variant", choices=("lossless", "r1", "r2"))
+    sub.add_argument("--variant", choices=VARIANTS)
     sub.add_argument("--n", type=float, help="total mean photon number of the probe")
     sub.add_argument("--theta", help="single angle (radians or pi fraction)")
     sub.add_argument("--theta-steps", type=int, help="grid size over [0, pi/2]")
@@ -237,6 +238,8 @@ def cmd_sensitivity(ns: argparse.Namespace) -> int:
     if n <= 0.0:
         raise ValueError("sensitivity requires n > 0")
     spec = _spec_for(params, 0.0)
+    theta_opt, d_opt = optimal_sensitivity(lambda x: closed_form_sensitivity(spec, x))
+    check_quantum_bound(n, d_opt)
     hl = 1.0 / (2.0 * n)
     inv_n = 1.0 / n
     thetas = _thetas_from(params)
@@ -244,7 +247,6 @@ def cmd_sensitivity(ns: argparse.Namespace) -> int:
     # 1/inf**2 = 0: a divergent row carries no Fisher information.
     fishers = 1.0 / (deltas * deltas)
     rows = [(th, d, f, hl, inv_n, 0.0) for th, d, f in zip(thetas, deltas, fishers)]
-    theta_opt, d_opt = optimal_sensitivity(lambda x: closed_form_sensitivity(spec, x))
     rows.append((theta_opt, d_opt, 1.0 / (d_opt * d_opt), hl, inv_n, 1.0))
     columns = ("theta_rad", "delta_theta", "fisher", "hl", "inv_n", "is_optimal")
     _emit(serialize_rows(columns, rows), params["out"])
@@ -266,9 +268,6 @@ def cmd_fock_validate(ns: argparse.Namespace) -> int:
     params = _merge(ns, defaults)
     cutoff = None if params["cutoff"] is None else int(params["cutoff"])
     ns_list = [float(params["n"])] if params["n"] is not None else list(_FOCK_DEFAULT_NS)
-    for n in ns_list:
-        if n > 2.0 and cutoff is None:
-            raise ValueError(f"n = {n} needs an explicit --cutoff (default suite covers n <= 2)")
     if (params["t1"] is None) != (params["t2"] is None):
         raise ValueError("give both --t1 and --t2 or neither")
     if params["t1"] is not None:

@@ -32,16 +32,25 @@ __all__ = [
     "parity_expectation",
     "outcome_probabilities",
     "pipeline_signal",
-    "signal_function",
     "pipeline_slope",
     "visibility",
     "optimal_sensitivity",
     "closed_form_signal",
     "closed_form_sensitivity",
     "qcrb_sensitivity",
+    "check_quantum_bound",
 ]
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+# visibility scans [0, pi/2] on this many angles before refining.
+_VISIBILITY_SAMPLES = 1801
+# optimal_sensitivity seeds [_WINDOW_EDGE, pi/2 - _WINDOW_EDGE], clear of the
+# ends where the signal is always stationary, with _OPTIMUM_SEEDS angles and
+# refines each local minimum to an interval of _OPTIMUM_XTOL.
+_WINDOW_EDGE = 1e-4
+_OPTIMUM_SEEDS = 64
+_OPTIMUM_XTOL = 2.5e-7
 
 
 # -- exact trigonometry on half-turn fractions -------------------------------
@@ -90,12 +99,12 @@ def _doubled_angle(theta: NDArray[np.float64]) -> tuple[NDArray[np.float64], NDA
 # -- parity readout ----------------------------------------------------------
 
 
-def parity_expectation(state: GaussianState, mode: int = 2):
-    """Photon-number parity expectation on one mode of a Gaussian state.
+def parity_expectation(state: GaussianState):
+    """Photon-number parity expectation on mode 2, the measured mode.
 
     A float for a single state, an array of the batch shape for a batch.
     """
-    red = reduce_to_modes(state, (mode,))
+    red = reduce_to_modes(state, (2,))
     g = red.cov
     m0, m1 = red.mean[..., 0], red.mean[..., 1]
     det = g[..., 0, 0] * g[..., 1, 1] - g[..., 0, 1] * g[..., 1, 0]
@@ -121,12 +130,7 @@ def pipeline_signal(spec: PipelineSpec, theta=None):
     one batch into an array of its shape; a scalar or 0-d angle gives a float.
     """
     state, transform = build_pipeline(spec, theta)
-    return parity_expectation(apply_transform(state, transform), mode=2)
-
-
-def signal_function(spec: PipelineSpec) -> Callable:
-    """Return theta -> signal for a scalar or an array of angles."""
-    return lambda theta: pipeline_signal(spec, theta)
+    return parity_expectation(apply_transform(state, transform))
 
 
 # -- exact angle slope -------------------------------------------------------
@@ -187,21 +191,15 @@ def _golden_min(
     return best_x, best_f
 
 
-def visibility(
-    signal_fn: Callable[[float], float],
-    lo: float = 0.0,
-    hi: float = math.pi / 2,
-    samples: int = 1801,
-) -> float:
-    """Fringe visibility (max - min) / (|max| + |min|) over [lo, hi].
+def visibility(signal_fn: Callable[[float], float]) -> float:
+    """Fringe visibility (max - min) / (|max| + |min|) over [0, pi/2].
 
     Global extrema are located on a dense angle grid, from one call of
     signal_fn on the whole grid array, and sharpened by golden-section
     refinement of the bracketing intervals.
     """
-    if samples < 3:
-        raise ValueError("need at least 3 samples")
-    grid = np.linspace(lo, hi, samples)
+    samples = _VISIBILITY_SAMPLES
+    grid = np.linspace(0.0, math.pi / 2, samples)
     vals = np.broadcast_to(np.asarray(signal_fn(grid), dtype=np.float64), grid.shape)
     if not np.all(np.isfinite(vals)):
         raise ValueError("signal must be finite to compute visibility")
@@ -222,14 +220,8 @@ def visibility(
     return (smax - smin) / denom
 
 
-def optimal_sensitivity(
-    sens_fn: Callable[[float], float],
-    lo: float = 1e-4,
-    hi: float = math.pi / 2 - 1e-4,
-    seeds: int = 64,
-    xtol: float = 2.5e-7,
-) -> tuple[float, float]:
-    """Best (theta, delta_theta) of a sensitivity curve on [lo, hi].
+def optimal_sensitivity(sens_fn: Callable[[float], float]) -> tuple[float, float]:
+    """Best (theta, delta_theta) of a sensitivity curve on [1e-4, pi/2 - 1e-4].
 
     The curve may have several local minima separated by divergences, so
     every local minimum of a seed grid (one call of sens_fn on the whole
@@ -238,9 +230,8 @@ def optimal_sensitivity(
     where the signal is always stationary.  Raises if the curve is
     divergent across the whole window.
     """
-    if seeds < 3:
-        raise ValueError("need at least 3 seed points")
-    grid = np.linspace(lo, hi, seeds)
+    seeds = _OPTIMUM_SEEDS
+    grid = np.linspace(_WINDOW_EDGE, math.pi / 2 - _WINDOW_EDGE, seeds)
     vals = np.broadcast_to(np.asarray(sens_fn(grid), dtype=np.float64), grid.shape)
     best_x = float(grid[0])
     best_f = math.inf
@@ -254,7 +245,7 @@ def optimal_sensitivity(
             continue
         a = float(grid[max(i - 1, 0)])
         b = float(grid[min(i + 1, seeds - 1)])
-        x, f = _golden_min(lambda t: float(sens_fn(t)), a, b, xtol=xtol)
+        x, f = _golden_min(lambda t: float(sens_fn(t)), a, b, xtol=_OPTIMUM_XTOL)
         if f < best_f:
             best_x, best_f = x, f
     if not math.isfinite(best_f):
@@ -355,3 +346,17 @@ def qcrb_sensitivity(n: float) -> float:
     if n <= 0.0:
         raise ValueError(f"mean photon number must be > 0, got {n}")
     return 1.0 / (2.0 * math.sqrt(n * (n + 2.0)))
+
+
+def check_quantum_bound(n: float, delta_theta: float) -> None:
+    """Reject an optimum below qcrb_sensitivity(n) by more than roundoff, or NaN.
+
+    No configuration beats the lossless bound, so such an optimum means the
+    closed form has lost its precision at this n.
+    """
+    bound = qcrb_sensitivity(n)
+    if not delta_theta >= bound * (1.0 - 1e-12):
+        raise ValueError(
+            f"optimal delta_theta {delta_theta} is below the quantum bound {bound} at n = {n}: "
+            "the closed form loses its precision at this n"
+        )

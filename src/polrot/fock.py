@@ -40,7 +40,6 @@ __all__ = [
     "loss_channel",
     "parity_expectation_fock",
     "rotated_parity",
-    "oracle_parity",
     "oracle_parity_table",
 ]
 
@@ -123,16 +122,8 @@ class FockKet:
     def cutoff(self) -> int:
         return self.amplitudes.shape[0] - 1
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
     def populations(self) -> NDArray[np.float64]:
         return np.abs(self.amplitudes) ** 2
-
-    def mean_total_photons(self) -> float:
-        pops = self.populations()
-        n = np.arange(pops.shape[0])
-        return float(np.sum(pops * (n[:, None] + n[None, :])))
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,30 +157,12 @@ class FockDensity:
     def cutoff(self) -> int:
         return math.isqrt(self.matrix.shape[0]) - 1
 
-    def trace(self) -> float:
-        return float(np.real(np.trace(self.matrix)))
 
-    def populations(self) -> NDArray[np.float64]:
-        d = self.cutoff + 1
-        return np.real(np.diagonal(self.matrix)).reshape(d, d)
-
-    def validate(self) -> dict[str, float]:
-        """Hermiticity residual, trace, and minimum eigenvalue (slow)."""
-        herm = _hermiticity_residual(self.matrix)
-        eigs = np.linalg.eigvalsh(self.matrix)
-        return {
-            "hermiticity_residual": herm,
-            "trace": self.trace(),
-            "min_eigenvalue": float(eigs[0]),
-        }
-
-
-def required_cutoff(n: float, tail: float = DEFAULT_TAIL) -> int:
-    """Smallest per-mode cutoff whose geometric truncation tail is < tail."""
+def required_cutoff(n: float) -> int:
+    """Smallest per-mode cutoff whose geometric truncation tail is < DEFAULT_TAIL."""
     if not 0.0 <= n < math.inf:
         raise ValueError(f"mean photon number n must be finite and >= 0, got {n}")
-    if not 0.0 < tail < 1.0:
-        raise ValueError(f"tail must be in (0, 1), got {tail}")
+    tail = DEFAULT_TAIL
     t = n / (n + 2.0)
     if t == 0.0:
         return 0
@@ -207,14 +180,14 @@ def required_cutoff(n: float, tail: float = DEFAULT_TAIL) -> int:
     return c
 
 
-def tmsv_ket(n: float, cutoff: int | None = None, tail: float = DEFAULT_TAIL) -> FockKet:
+def tmsv_ket(n: float, cutoff: int | None = None) -> FockKet:
     """Two-mode squeezed vacuum: amplitude sqrt((1-t)*t^k) on |k, k>.
 
     t = n/(n+2).  With cutoff omitted the smallest cutoff meeting the tail
     bound is chosen; an explicit cutoff below that raises
     CutoffTooSmallError naming the required value.
     """
-    required = required_cutoff(n, tail)
+    required = required_cutoff(n)
     if cutoff is None:
         cutoff = required
     elif cutoff < required:
@@ -328,15 +301,11 @@ def loss_channel(rho: FockDensity, mode: int, t: float) -> FockDensity:
 # -- parity ------------------------------------------------------------------
 
 
-def parity_expectation_fock(state: FockKet | FockDensity, mode: int = 2) -> float:
-    """Signed population sum: sum over (n1, n2) of (-1)^(n_mode) * pop."""
-    if mode not in (1, 2):
-        raise ValueError(f"mode must be 1 or 2, got {mode}")
-    pops = state.populations()
-    d = pops.shape[0]
-    signs = 1.0 - 2.0 * (np.arange(d) % 2)
-    weighted = signs[:, None] * pops if mode == 1 else pops * signs[None, :]
-    return float(np.sum(weighted))
+def parity_expectation_fock(ket: FockKet) -> float:
+    """Parity of mode 2 as a signed population sum: sum of (-1)^n2 * |a[n1, n2]|^2."""
+    pops = ket.populations()
+    signs = 1.0 - 2.0 * (np.arange(pops.shape[0]) % 2)
+    return float(np.sum(pops * signs[None, :]))
 
 
 @lru_cache(maxsize=4)
@@ -359,58 +328,29 @@ def _shell_pairs(cutoff: int) -> tuple[tuple[tuple[int, int], ...], NDArray[np.i
     return tuple(ranges), _frozen(np.concatenate(rows)), _frozen(np.concatenate(cols))
 
 
-def rotated_parity(cutoff: int, theta: float, mode: int = 2) -> NDArray[np.complex128]:
-    """Heisenberg-picture parity: U^dag P U restricted to the cutoff space.
+def rotated_parity(cutoff: int, theta: float) -> NDArray[np.complex128]:
+    """Heisenberg-picture parity of mode 2: U^dag P U on the cutoff space.
 
     Both U and P are block-diagonal in total photon number, so each shell
     block is computed exactly in the full shell basis and then restricted
-    to the indices with both mode occupations <= cutoff.  For any state
-    supported on that space, tr(rho * M) equals the parity measured after
-    the interferometer, with no truncation error.
+    to the indices with both mode occupations <= cutoff.  Returns the
+    entries M[rows, cols] of those blocks at the _shell_pairs(cutoff)
+    positions, the only places where M is non-zero.  For any state supported
+    on that space, tr(rho * M) equals the parity measured after the
+    interferometer, with no truncation error.
     """
-    if mode not in (1, 2):
-        raise ValueError(f"mode must be 1 or 2, got {mode}")
-    ranges, rows, cols = _shell_pairs(cutoff)
     blocks = []
-    for s, (lo, hi) in enumerate(ranges):
-        kk = np.arange(s + 1)
-        occ = kk if mode == 1 else s - kk
-        signs = 1.0 - 2.0 * (occ % 2)
+    for s, (lo, hi) in enumerate(_shell_pairs(cutoff)[0]):
+        signs = 1.0 - 2.0 * ((s - np.arange(s + 1)) % 2)
         w = _shell_unitary(s, theta)[:, lo : hi + 1]
         blocks.append((w.conj().T @ (signs[:, None] * w)).ravel())
-    d = cutoff + 1
-    m = np.zeros((d * d, d * d), dtype=np.complex128)
-    m[rows, cols] = np.concatenate(blocks)
-    return m
+    return np.concatenate(blocks)
 
 
 # -- oracle evaluation -------------------------------------------------------
 
 
-def oracle_parity(
-    n: float,
-    theta: float,
-    t1: float = 1.0,
-    t2: float = 1.0,
-    cutoff: int | None = None,
-    tail: float = DEFAULT_TAIL,
-) -> float:
-    """Number-basis parity of mode 2 for the lossless or generation-loss run.
-
-    A one-case, one-angle oracle_parity_table; t1 = t2 = 1 is the lossless
-    case, which evolves the ket directly.
-    """
-    case = None if t1 == 1.0 and t2 == 1.0 else (t1, t2)
-    return oracle_parity_table(n, [theta], [case], cutoff, tail)[0, 0]
-
-
-def oracle_parity_table(
-    n: float,
-    thetas,
-    cases,
-    cutoff: int | None = None,
-    tail: float = DEFAULT_TAIL,
-) -> dict[tuple[int, int], float]:
+def oracle_parity_table(n: float, thetas, cases, cutoff: int | None = None) -> dict[tuple[int, int], float]:
     """Batch oracle parities: {(case_index, theta_index): value}.
 
     cases is a sequence of None (lossless) or (t1, t2) pairs.  Densities
@@ -421,20 +361,20 @@ def oracle_parity_table(
     thetas = [float(x) for x in thetas]
     lossy = [i for i, case in enumerate(cases) if case is not None]
     if lossy:
-        c = required_cutoff(n, tail) if cutoff is None else cutoff
+        c = required_cutoff(n) if cutoff is None else cutoff
         dense = (c + 1) ** 4 * 16
         if dense > MAX_DENSE_BYTES:
             raise ValueError(
                 f"cutoff {c} needs {dense} bytes per dense density matrix, "
                 f"above the oracle limit of {MAX_DENSE_BYTES} bytes"
             )
-    ket = tmsv_ket(n, cutoff, tail)
+    ket = tmsv_ket(n, cutoff)
     results: dict[tuple[int, int], float] = {}
     for i, case in enumerate(cases):
         if case is None:
             for j, th in enumerate(thetas):
                 out = apply_interferometer(ket, th)
-                results[i, j] = parity_expectation_fock(out, mode=2)
+                results[i, j] = parity_expectation_fock(out)
     if lossy:
         # tr(rho M) = sum of rho[q, p] * M[p, q]; M vanishes off the shell
         # blocks, so only rho's entries there are kept.
@@ -444,7 +384,6 @@ def oracle_parity_table(
             t1, t2 = cases[i]
             row[:] = loss_channel(loss_channel(FockDensity.from_ket(ket), 1, t1), 2, t2).matrix[cols, rows]
         for j, th in enumerate(thetas):
-            m = rotated_parity(ket.cutoff, th, mode=2)
-            for i, value in zip(lossy, shell_rho @ m[rows, cols]):
+            for i, value in zip(lossy, shell_rho @ rotated_parity(ket.cutoff, th)):
                 results[i, j] = float(np.real(value))
     return results

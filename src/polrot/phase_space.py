@@ -23,17 +23,14 @@ __all__ = [
     "SYMMETRY_TOL",
     "SYMPLECTIC_TOL",
     "PHYSICALITY_TOL",
-    "PURITY_TOL",
     "GaussianState",
     "SymplecticTransform",
     "SymplecticCheck",
-    "StateDiagnostics",
     "symplectic_form",
     "check_symplectic",
     "apply_transform",
     "direct_sum",
     "reduce_to_modes",
-    "validate_state",
 ]
 
 # Covariance symmetry and symplectic-defect tolerance (absolute, max entry).
@@ -41,8 +38,6 @@ SYMMETRY_TOL = 1e-12
 SYMPLECTIC_TOL = 1e-12
 # Minimum eigenvalue allowed for cov + i*Omega (uncertainty-principle check).
 PHYSICALITY_TOL = 1e-9
-# |det(cov) - 1| below this counts as a pure state.
-PURITY_TOL = 1e-9
 
 
 def symplectic_form(n_modes: int) -> NDArray[np.float64]:
@@ -83,10 +78,8 @@ def _as_matrix(s: Union["SymplecticTransform", NDArray[np.float64]]) -> NDArray[
     return mat
 
 
-def check_symplectic(
-    s: Union["SymplecticTransform", NDArray[np.float64]], tol: float = SYMPLECTIC_TOL
-) -> SymplecticCheck:
-    """Test S^T Omega S = Omega and report the max-entry residual.
+def check_symplectic(s: Union["SymplecticTransform", NDArray[np.float64]]) -> SymplecticCheck:
+    """Test S^T Omega S = Omega to SYMPLECTIC_TOL and report the max-entry residual.
 
     Accepts a SymplecticTransform or a raw square matrix of even dimension,
     or a stack of them; the residual is the worst over the stack.
@@ -97,7 +90,7 @@ def check_symplectic(
         raise ValueError(f"symplectic matrices have even dimension, got {dim}")
     omega = _omega(dim // 2)
     residual = float(np.abs(mat.swapaxes(-1, -2) @ omega @ mat - omega).max())
-    return SymplecticCheck(residual <= tol, residual)
+    return SymplecticCheck(residual <= SYMPLECTIC_TOL, residual)
 
 
 def _frozen_array(values: NDArray) -> NDArray:
@@ -114,13 +107,11 @@ class GaussianState:
     as (x1, p1, x2, p2, ...); leading axes of shape (...) on both form a
     batch of states.  Construction validates symmetry, positive
     definiteness, and the uncertainty relation cov + i*Omega >= 0 on every
-    state of the batch; unphysical input raises ValueError.  `modes` holds
-    positional mode labels 1..m.
+    state of the batch; unphysical input raises ValueError.
     """
 
     mean: NDArray[np.float64]
     cov: NDArray[np.float64]
-    modes: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
         mean = np.asarray(self.mean, dtype=float)
@@ -139,9 +130,6 @@ class GaussianState:
         if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
             raise ValueError("mean and cov must be finite")
         n_modes = dim // 2
-        modes = self.modes if self.modes else tuple(range(1, n_modes + 1))
-        if len(modes) != n_modes:
-            raise ValueError(f"got {len(modes)} mode labels for {n_modes} modes")
 
         sym_residual = float(np.abs(cov - cov.swapaxes(-1, -2)).max())
         if sym_residual > SYMMETRY_TOL:
@@ -158,7 +146,6 @@ class GaussianState:
 
         object.__setattr__(self, "mean", _frozen_array(mean))
         object.__setattr__(self, "cov", _frozen_array(cov))
-        object.__setattr__(self, "modes", tuple(modes))
 
     @property
     def n_modes(self) -> int:
@@ -231,47 +218,21 @@ def direct_sum(a: GaussianState, b: GaussianState) -> GaussianState:
 
 
 def reduce_to_modes(state: GaussianState, keep: Sequence[int]) -> GaussianState:
-    """Partial trace down to the listed modes (labels from `state.modes`).
+    """Partial trace down to the listed modes, numbered 1..m.
 
     The reduced state keeps the quadrature rows/columns of the retained modes
-    in the order given and is relabelled positionally, so reducing a direct
-    sum back to either factor reproduces that factor exactly.  Batch axes
-    are kept.
+    in the order given and numbers them 1.. in that order, so reducing a
+    direct sum back to either factor reproduces that factor exactly.  Batch
+    axes are kept.
     """
     keep = list(keep)
     if not keep:
         raise ValueError("keep must name at least one mode")
     if len(set(keep)) != len(keep):
-        raise ValueError(f"duplicate mode labels in {keep}")
-    positions = []
-    for label in keep:
-        if label not in state.modes:
-            raise ValueError(f"mode {label!r} not in state modes {state.modes}")
-        positions.append(state.modes.index(label))
-    rows = np.array([r for p in positions for r in (2 * p, 2 * p + 1)])
+        raise ValueError(f"duplicate modes in {keep}")
+    modes = range(1, state.n_modes + 1)
+    for mode in keep:
+        if mode not in modes:
+            raise ValueError(f"mode {mode!r} not in state modes 1..{state.n_modes}")
+    rows = np.array([r for mode in keep for r in (2 * mode - 2, 2 * mode - 1)], dtype=np.intp)
     return GaussianState(state.mean[..., rows], state.cov[..., rows[:, None], rows])
-
-
-@dataclass(frozen=True)
-class StateDiagnostics:
-    """Numerical health report for a Gaussian state."""
-
-    symmetry_residual: float
-    min_cov_eigenvalue: float
-    min_physicality_eigenvalue: float
-    determinant: float
-    is_pure: bool
-
-
-def validate_state(state: GaussianState) -> StateDiagnostics:
-    """Recompute the invariants of a single state and report them (diagnostic, never raises)."""
-    cov = state.cov
-    omega = symplectic_form(state.n_modes)
-    det = float(np.linalg.det(cov))
-    return StateDiagnostics(
-        symmetry_residual=float(np.max(np.abs(cov - cov.T))),
-        min_cov_eigenvalue=float(np.min(np.linalg.eigvalsh(cov))),
-        min_physicality_eigenvalue=float(np.min(np.linalg.eigvalsh(cov + 1j * omega))),
-        determinant=det,
-        is_pure=bool(abs(det - 1.0) < PURITY_TOL),
-    )

@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 from numpy.typing import NDArray
 
 from .detection import (
+    check_quantum_bound,
     closed_form_sensitivity,
     closed_form_signal,
     optimal_sensitivity,
@@ -78,12 +78,11 @@ class Axis:
 
 @dataclass(frozen=True, eq=False)
 class SweepGrid:
-    """Result table of a sweep: axes, fixed parameters, columns, row data."""
+    """Result table of a sweep: axes, columns, row data."""
 
     axes: tuple[Axis, ...]
     columns: tuple[str, ...]
     values: NDArray[np.float64]
-    fixed: tuple[tuple[str, float], ...] = ()
 
     def __post_init__(self) -> None:
         vals = np.array(self.values, dtype=np.float64)
@@ -99,21 +98,20 @@ class SweepGrid:
     def to_csv(self) -> str:
         return serialize_rows(self.columns, self.values)
 
-    def write_csv(self, path) -> None:
-        Path(path).write_text(self.to_csv(), encoding="utf-8", newline="")
 
-
-def _sweep(axes, make_spec, columns, fixed=()) -> SweepGrid:
+def _sweep(axes, make_spec, columns) -> SweepGrid:
     """Grid of closed-form summaries; make_spec(a, b) configures one point.
 
     Rows run first axis outer and hold the two axis values, then the named
     columns: theta_opt, delta_theta_opt, and visibility or hl and inv_n.
+    An optimum below the quantum bound raises ValueError naming n.
     """
     rows = []
     for a in axes[0].values():
         for b in axes[1].values():
             spec = make_spec(a, b)
             theta_opt, d_opt = optimal_sensitivity(lambda th: closed_form_sensitivity(spec, th))
+            check_quantum_bound(spec.n, d_opt)
             row = {"theta_opt": theta_opt, "delta_theta_opt": d_opt}
             if "visibility" in columns:
                 row["visibility"] = visibility(lambda th: closed_form_signal(spec, th))
@@ -121,7 +119,7 @@ def _sweep(axes, make_spec, columns, fixed=()) -> SweepGrid:
                 row.update(hl=1.0 / (2.0 * spec.n), inv_n=1.0 / spec.n)
             rows.append([a, b] + [row[name] for name in columns])
     names = tuple(axis.name for axis in axes) + columns
-    return SweepGrid(axes=axes, columns=names, values=np.array(rows), fixed=fixed)
+    return SweepGrid(axes=axes, columns=names, values=np.array(rows))
 
 
 _VISIBILITY = ("visibility", "theta_opt", "delta_theta_opt")
@@ -134,7 +132,6 @@ def fig2_grid(n: float = 10.0, t1_steps: int = 46, t2_steps: int = 46) -> SweepG
         (Axis("t1", 0.1, 1.0, t1_steps), Axis("t2", 0.1, 1.0, t2_steps)),
         lambda t1, t2: PipelineSpec.generation_loss(0.0, n, t1, t2),
         _VISIBILITY,
-        fixed=(("n", n),),
     )
 
 
@@ -153,7 +150,6 @@ def fig4_grid(n: float = 10.0, t_steps: int = 46, nth_steps: int = 46) -> SweepG
         (Axis("t", 0.5, 1.0, t_steps), Axis("n_th", 1e-10, 1e-1, nth_steps, spacing="log")),
         lambda t, nth: PipelineSpec.detection_loss(0.0, n, t, nth),
         _VISIBILITY,
-        fixed=(("n", n),),
     )
 
 
@@ -163,5 +159,4 @@ def fig5_grid(n_th: float = 0.1, t_steps: int = 46, n_steps: int = 20) -> SweepG
         (Axis("t", 0.5, 1.0, t_steps), Axis("n", 1.0, 20.0, n_steps)),
         lambda t, n: PipelineSpec.detection_loss(0.0, n, t, n_th),
         _REFERENCE_LINES,
-        fixed=(("n_th", n_th),),
     )

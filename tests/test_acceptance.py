@@ -17,7 +17,6 @@ from polrot.detection import (
     optimal_sensitivity,
     pipeline_signal,
     qcrb_sensitivity,
-    signal_function,
     visibility,
 )
 from polrot.elements import PipelineSpec, detector_vbs, qwp, rotator, vbs_pair
@@ -57,7 +56,8 @@ def test_criterion_01_lossless_signal_curves():
 def test_criterion_02_fringe_visibility():
     worst = 0.0
     for n in (1.0, 2.0, 5.0, 10.0, 20.0):
-        v = visibility(signal_function(PipelineSpec.lossless(theta=0.0, n=n)))
+        spec = PipelineSpec.lossless(theta=0.0, n=n)
+        v = visibility(lambda th: pipeline_signal(spec, th))
         worst = max(worst, abs(v - n / (n + 2.0)))
     assert worst < 1e-9
     report(2, f"lossless visibility equals n/(n+2), max|diff|={worst:.3e}")

@@ -179,6 +179,11 @@ def test_sensitivity_divergent_rows_serialize_inf(capsys):
         (("fig5", "--nth", "nan", "--t-steps", "2", "--n-steps", "2"), "n_th must be"),
         (("signal", "--variant", "r2", "--t", "0.5", "--nth", "inf"), "n_th must be"),
         (("fock-validate", "--n", "inf", "--cutoff", "5"), "mean photon number n"),
+        # the r1 closed form cancels to an optimum of 0, below the quantum bound
+        (
+            ("sensitivity", "--variant", "r1", "--t1", "0.1", "--t2", "1", "--n", "1e40", "--theta-steps", "5"),
+            "below the quantum bound 5e-41 at n = 1e+40",
+        ),
     ],
 )
 def test_non_finite_or_overflowing_input_exits_one(capsys, argv, named):
@@ -220,6 +225,11 @@ def test_fock_validate_cutoff_too_large_for_memory_exits_one(capsys):
     assert code == 1
     assert out == ""
     assert f"cutoff 100000 needs {100001**4 * 16} bytes" in err
+    # the cutoff the tail bound picks for n = 10 does not fit either
+    code, out, err = run_cli(capsys, "fock-validate", "--n", "10")
+    assert code == 1
+    assert out == ""
+    assert f"cutoff {required_cutoff(10.0)} needs {(required_cutoff(10.0) + 1) ** 4 * 16} bytes" in err
 
 
 def test_config_infinite_angle_exits_one(capsys, tmp_path):
@@ -415,10 +425,11 @@ def test_fock_validate_huge_n_names_required_cutoff(capsys):
     assert f"cutoff >= {required_cutoff(1e17)}" in err
 
 
-def test_fock_validate_large_n_needs_cutoff(capsys):
-    code, _, err = run_cli(capsys, "fock-validate", "--n", "5")
-    assert code == 1
-    assert "--cutoff" in err
+def test_fock_validate_n_above_two_uses_the_required_cutoff(capsys):
+    code, out, _ = run_cli(capsys, "fock-validate", "--n", "3", "--t1", "0.8", "--t2", "0.5", "--theta", "pi/8")
+    assert code == 0
+    assert f"cutoff={required_cutoff(3.0)} " in out
+    assert "all 1 cases pass" in out
 
 
 def test_fock_validate_partial_loss_pair(capsys):

@@ -8,6 +8,7 @@ import pytest
 
 from polrot.cli import _theta_grid
 from polrot.detection import (
+    check_quantum_bound,
     closed_form_sensitivity,
     closed_form_signal,
     optimal_sensitivity,
@@ -16,7 +17,6 @@ from polrot.detection import (
     pipeline_signal,
     pipeline_slope,
     qcrb_sensitivity,
-    signal_function,
     visibility,
     _cospi,
     _sinpi,
@@ -62,27 +62,26 @@ def test_half_turn_trig_matches_library():
 
 
 def test_parity_vacuum_and_thermal():
-    assert parity_expectation(vacuum(2), mode=1) == pytest.approx(1.0, abs=1e-15)
-    assert parity_expectation(vacuum(2), mode=2) == pytest.approx(1.0, abs=1e-15)
+    assert parity_expectation(vacuum(2)) == pytest.approx(1.0, abs=1e-15)
     n_th = 0.4
-    assert parity_expectation(thermal(n_th, 2), mode=2) == pytest.approx(
+    assert parity_expectation(thermal(n_th, 2)) == pytest.approx(
         1.0 / (2.0 * n_th + 1.0), abs=1e-13
     )
 
 
 def test_parity_marginal_of_entangled_source():
     n = 3.0
-    assert parity_expectation(tmsv(n), mode=2) == pytest.approx(1.0 / (n + 1.0), abs=1e-13)
+    assert parity_expectation(tmsv(n)) == pytest.approx(1.0 / (n + 1.0), abs=1e-13)
 
 
 def test_parity_displaced_vacuum():
-    # displaced vacuum: parity decays with the squared displacement
+    # displaced vacuum: parity decays with the squared displacement of the
+    # measured mode 2 and ignores that of mode 1
     a, b = 0.7, -0.4
     st = GaussianState(mean=np.array([0.0, 0.0, a, b]), cov=np.eye(4))
-    assert parity_expectation(st, mode=2) == pytest.approx(
-        math.exp(-(a * a + b * b)), abs=1e-13
-    )
-    assert parity_expectation(st, mode=1) == pytest.approx(1.0, abs=1e-15)
+    assert parity_expectation(st) == pytest.approx(math.exp(-(a * a + b * b)), abs=1e-13)
+    swapped = GaussianState(mean=np.array([a, b, 0.0, 0.0]), cov=np.eye(4))
+    assert parity_expectation(swapped) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_outcome_probabilities():
@@ -192,36 +191,29 @@ def test_pipeline_signal_keeps_the_angle_shape():
     assert np.array_equal(square.ravel(), flat)
 
 
-def test_signal_function_is_one_batched_call():
-    spec = det_loss(0.0, t=0.7, n_th=0.05)
-    thetas = np.linspace(0.0, np.pi / 2, 7)
-    assert np.array_equal(signal_function(spec)(thetas), pipeline_signal(spec, thetas))
-    assert signal_function(spec)(0.3) == pipeline_signal(replace(spec, theta=0.3))
-
-
 # -- visibility ---------------------------------------------------------------
 
 
 def test_visibility_lossless():
     for n in (1.0, 2.0, 10.0):
-        fn = signal_function(lossless(0.0, n))
+        fn = lambda th: pipeline_signal(lossless(0.0, n), th)
         assert visibility(fn) == pytest.approx(n / (n + 2.0), abs=1e-9)
 
 
 def test_visibility_zero_for_vacuum_input():
-    fn = signal_function(lossless(0.0, 0.0))
+    fn = lambda th: pipeline_signal(lossless(0.0, 0.0), th)
     assert visibility(fn) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_visibility_equal_loss():
-    fn = signal_function(gen_loss(0.0, t1=0.5, t2=0.5))
+    fn = lambda th: pipeline_signal(gen_loss(0.0, t1=0.5, t2=0.5), th)
     assert visibility(fn) == pytest.approx(0.4202041028867288, abs=1e-9)
 
 
 def test_visibility_unequal_loss_uses_global_extrema():
     # the fringe maximum sits away from the bright-fringe angle when the
     # two arms are attenuated differently
-    fn = signal_function(gen_loss(0.0, t1=0.3, t2=0.7))
+    fn = lambda th: pipeline_signal(gen_loss(0.0, t1=0.3, t2=0.7), th)
     v = visibility(fn)
     assert v == pytest.approx(0.5351407196475867, abs=1e-9)
     # cross-check against a dense closed-form scan: the maximum sits in the
@@ -235,8 +227,8 @@ def test_visibility_unequal_loss_uses_global_extrema():
 
 
 def test_unequal_loss_beats_equal_loss_visibility():
-    equal = visibility(signal_function(gen_loss(0.0, t1=0.5, t2=0.5)))
-    unequal = visibility(signal_function(gen_loss(0.0, t1=0.3, t2=0.7)))
+    equal = visibility(lambda th: pipeline_signal(gen_loss(0.0, t1=0.5, t2=0.5), th))
+    unequal = visibility(lambda th: pipeline_signal(gen_loss(0.0, t1=0.3, t2=0.7), th))
     assert unequal > equal
 
 
@@ -263,6 +255,15 @@ def test_optimal_sensitivity_equal_loss_avoids_divergent_fringe():
 def test_optimal_sensitivity_all_divergent_raises():
     with pytest.raises(ValueError):
         optimal_sensitivity(lambda th: np.full_like(th, np.inf))
+
+
+def test_quantum_bound_check_names_n():
+    bound = qcrb_sensitivity(10.0)
+    check_quantum_bound(10.0, bound)
+    check_quantum_bound(10.0, bound * (1.0 - 1e-13))
+    for below in (bound * (1.0 - 1e-11), 0.0, math.nan):
+        with pytest.raises(ValueError, match="below the quantum bound .* at n = 10.0"):
+            check_quantum_bound(10.0, below)
 
 
 # -- closed forms -------------------------------------------------------------

@@ -16,7 +16,6 @@ from polrot.fock import (
     FockKet,
     apply_interferometer,
     loss_channel,
-    oracle_parity,
     oracle_parity_table,
     parity_expectation_fock,
     required_cutoff,
@@ -40,10 +39,6 @@ def test_required_cutoff_values():
     assert required_cutoff(2.0) == 33
 
 
-def test_required_cutoff_scales_with_tail():
-    assert required_cutoff(1.0, tail=1e-6) < required_cutoff(1.0, tail=1e-12)
-
-
 def _count_up_cutoff(n, tail):
     # reference: count up from 0 until the geometric tail t**(c+1) drops
     # below the bound
@@ -55,13 +50,16 @@ def _count_up_cutoff(n, tail):
 
 
 @pytest.mark.parametrize("tail", [1e-3, DEFAULT_TAIL, 1e-15, 0.5])
-def test_required_cutoff_matches_counting_up(tail):
+def test_required_cutoff_matches_counting_up(monkeypatch, tail):
+    # the log start and its corrections must land on the count-up value
+    # for tail bounds far from the default too (tail 0.5 gives cutoff 0)
+    monkeypatch.setattr(fock, "DEFAULT_TAIL", tail)
     for n in [0.0, 0.5, 1.0, 2.0, *np.logspace(-8, 2, 120)]:
-        assert required_cutoff(float(n), tail) == _count_up_cutoff(float(n), tail), n
+        assert required_cutoff(float(n)) == _count_up_cutoff(float(n), tail), n
     # counting up takes ~n steps, so for larger n check where it would stop
     for n in np.logspace(2, 16.2, 400):
         t = n / (n + 2.0)
-        c = required_cutoff(float(n), tail)
+        c = required_cutoff(float(n))
         assert t ** (c + 1) < tail <= t**c, n
 
 
@@ -113,8 +111,10 @@ def test_tmsv_ket_amplitudes():
 def test_tmsv_ket_mean_photons():
     for n in (0.5, 1.0, 2.0):
         k = tmsv_ket(n)
-        assert k.mean_total_photons() == pytest.approx(n, abs=1e-6)
-        assert k.norm() == pytest.approx(1.0, abs=1e-9)
+        pops = np.abs(k.amplitudes) ** 2
+        occ = np.arange(k.cutoff + 1)
+        assert np.sum(pops * (occ[:, None] + occ[None, :])) == pytest.approx(n, abs=1e-6)
+        assert np.linalg.norm(k.amplitudes) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_ket_validation_rejects_bad_norm():
@@ -179,7 +179,7 @@ def test_interferometer_against_direct_exponential():
 def test_interferometer_preserves_norm_and_shells():
     k = tmsv_ket(1.0)
     out = apply_interferometer(k, 1.234)
-    assert out.norm() == pytest.approx(k.norm(), abs=1e-12)
+    assert np.linalg.norm(out.amplitudes) == pytest.approx(np.linalg.norm(k.amplitudes), abs=1e-12)
     pin = k.populations()
     pout = out.populations()
     shells_in = np.zeros(2 * k.cutoff + 1)
@@ -217,17 +217,19 @@ def test_loss_preserves_trace_and_positivity():
     rho = FockDensity.from_ket(tmsv_ket(0.5))
     for t in (0.0, 0.3, 0.7):
         out = loss_channel(rho, 1, t)
-        assert out.trace() == pytest.approx(1.0, abs=1e-10)
-        diag = out.validate()
-        assert diag["min_eigenvalue"] > -1e-10
+        assert np.trace(out.matrix).real == pytest.approx(1.0, abs=1e-10)
+        assert np.linalg.eigvalsh(out.matrix)[0] > -1e-10
 
 
 def test_complete_loss_empties_one_arm():
     n = 1.0
     rho = loss_channel(FockDensity.from_ket(tmsv_ket(n)), 2, 0.0)
-    assert parity_expectation_fock(rho, mode=2) == pytest.approx(1.0, abs=1e-9)
+    d = rho.cutoff + 1
+    pops = np.real(np.diagonal(rho.matrix)).reshape(d, d)
+    # mode 2 holds vacuum only, so its parity is 1
+    parity = np.sum(pops * (1.0 - 2.0 * (np.arange(d) % 2))[None, :])
+    assert parity == pytest.approx(1.0, abs=1e-9)
     # the surviving arm keeps its geometric photon distribution, mean n/2
-    pops = rho.populations()
     arm = pops.sum(axis=1)
     nbar = n / 2.0
     for m in range(6):
@@ -242,7 +244,7 @@ def test_density_hermiticity_residual_is_the_full_maximum(monkeypatch, block):
     # the whole matrix gives
     monkeypatch.setattr(fock, "_HERM_BLOCK", block)
     base = _random_density(4, np.random.default_rng(7))
-    assert FockDensity(base).validate()["hermiticity_residual"] == np.max(np.abs(base - base.conj().T))
+    assert fock._hermiticity_residual(base) == np.max(np.abs(base - base.conj().T))
     for p, q in ((0, 15), (15, 0), (5, 9), (9, 5), (3, 3)):
         skew = base.copy()
         skew[p, q] += 2e-9 + 1e-9j
@@ -304,16 +306,17 @@ def test_loss_parameter_validation():
 
 
 def test_parity_basis_states():
-    assert parity_expectation_fock(basis_ket(0, 0), mode=2) == pytest.approx(1.0)
-    assert parity_expectation_fock(basis_ket(1, 1), mode=2) == pytest.approx(-1.0)
-    assert parity_expectation_fock(basis_ket(1, 1), mode=1) == pytest.approx(-1.0)
-    assert parity_expectation_fock(basis_ket(2, 1), mode=1) == pytest.approx(1.0)
+    # the sign follows the photon number of mode 2 only
+    assert parity_expectation_fock(basis_ket(0, 0)) == pytest.approx(1.0)
+    assert parity_expectation_fock(basis_ket(1, 1)) == pytest.approx(-1.0)
+    assert parity_expectation_fock(basis_ket(2, 1)) == pytest.approx(-1.0)
+    assert parity_expectation_fock(basis_ket(1, 2)) == pytest.approx(1.0)
 
 
 def test_parity_marginal_of_source():
     for n in (0.5, 1.0):
         k = tmsv_ket(n)
-        assert parity_expectation_fock(k, mode=2) == pytest.approx(
+        assert parity_expectation_fock(k) == pytest.approx(
             1.0 / (n + 1.0), abs=1e-9
         )
 
@@ -321,13 +324,16 @@ def test_parity_marginal_of_source():
 def test_rotated_parity_matches_schroedinger_picture():
     # evolving the operator must agree with evolving the state
     n, th = 1.0, 0.55
-    ket_path = oracle_parity(n, th)
+    ket_path = oracle_parity_table(n, [th], [None])[0, 0]
     heisenberg = oracle_parity_table(n, [th], [(1.0, 1.0)])[(0, 0)]
     assert heisenberg == pytest.approx(ket_path, abs=1e-12)
 
 
 def test_rotated_parity_at_zero_is_diagonal():
-    m = rotated_parity(3, 0.0, mode=2)
+    # place the returned shell-block entries in the d^2 x d^2 operator
+    _, rows, cols = fock._shell_pairs(3)
+    m = np.zeros((16, 16), dtype=np.complex128)
+    m[rows, cols] = rotated_parity(3, 0.0)
     d = np.diagonal(m).real
     assert np.allclose(m, np.diag(d), atol=1e-14)
     # entries alternate with the photon number of the measured mode
@@ -357,9 +363,19 @@ def _per_shell_parity(cutoff, theta, mode):
 @pytest.mark.parametrize("cutoff", range(7))
 @pytest.mark.parametrize("mode", [1, 2])
 def test_rotated_parity_matches_per_shell_construction(cutoff, mode):
+    # rotated_parity measures mode 2.  The interferometer is symmetric under
+    # swapping the modes, so the mode-1 operator is the mode-2 one with both
+    # occupations swapped in every row and column index.
+    d = cutoff + 1
+    _, rows, cols = fock._shell_pairs(cutoff)
+    if mode == 1:
+        rows, cols = (rows % d) * d + rows // d, (cols % d) * d + cols // d
     for theta in (0.0, 0.31, np.pi / 4, 2.2):
-        got = rotated_parity(cutoff, theta, mode)
-        assert np.max(np.abs(got - _per_shell_parity(cutoff, theta, mode))) <= 1e-14
+        want = _per_shell_parity(cutoff, theta, mode)
+        assert np.max(np.abs(rotated_parity(cutoff, theta) - want[rows, cols])) <= 1e-14
+        # nothing of the operator lies off the returned entries
+        want[rows, cols] = 0.0
+        assert not want.any()
 
 
 # -- oracle vs covariance pipeline --------------------------------------------
@@ -372,8 +388,8 @@ def test_oracle_matches_gaussian_lossless():
     n = 1.0
     for th in (0.0, np.pi / 8, np.pi / 4, 0.9):
         want = closed_form_signal(PipelineSpec.lossless(theta=float(th), n=n))
-        assert oracle_parity(n, float(th)) == pytest.approx(want, abs=1e-6)
-    assert oracle_parity(n, np.pi / 8) == pytest.approx(
+        assert oracle_parity_table(n, [th], [None])[0, 0] == pytest.approx(want, abs=1e-6)
+    assert oracle_parity_table(n, [np.pi / 8], [None])[0, 0] == pytest.approx(
         1.0 / math.sqrt(2.5), abs=1e-9
     )
 

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from polrot import sweeps
 from polrot.detection import qcrb_sensitivity
 from polrot.sweeps import (
     Axis,
@@ -91,12 +92,12 @@ def test_grid_shape_validation():
         SweepGrid(axes=(ax,), columns=("t", "y"), values=np.zeros((3, 3)))
 
 
-def test_grid_write_matches_to_csv(tmp_path):
-    g = fig3_grid(t_steps=3, n_steps=2)
-    path = tmp_path / "out.csv"
-    g.write_csv(path)
-    assert path.read_bytes().decode("utf-8") == g.to_csv()
-    assert b"\r" not in path.read_bytes()
+def test_optimum_below_the_quantum_bound_raises_naming_n(monkeypatch):
+    # the sweep checks what its own optimal_sensitivity returns
+    for bad in (0.0, math.nan):
+        monkeypatch.setattr(sweeps, "optimal_sensitivity", lambda fn, bad=bad: (0.5, bad))
+        with pytest.raises(ValueError, match="below the quantum bound .* at n = 1.0"):
+            fig3_grid(t_steps=2, n_steps=2)
 
 
 # -- published grids ----------------------------------------------------------
