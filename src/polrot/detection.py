@@ -57,43 +57,23 @@ _OPTIMUM_XTOL = 2.5e-7
 #
 # Closed forms below need cos(2*theta) to vanish *exactly* when 2*theta is an
 # odd multiple of pi/2, otherwise divergent sensitivities come out as huge
-# finite numbers instead of inf.  sin/cos are therefore evaluated as
-# functions of u = angle/pi with exact range reduction: mod 2, then
-# reflections that are exact in floating point (Sterbenz), then the library
-# call on [0, 0.5] plus pinned endpoint values.
-
-
-def _sinpi(u: NDArray[np.float64]) -> NDArray[np.float64]:
-    """sin(pi * u), exact at integer and half-integer u."""
-    u = np.asarray(u, dtype=np.float64)
-    r = np.mod(u, 2.0)
-    flip = r >= 1.0
-    r = np.where(flip, r - 1.0, r)
-    r = np.where(r > 0.5, 1.0 - r, r)
-    val = np.sin(np.pi * r)
-    val = np.where(r == 0.5, 1.0, val)
-    val = np.where(r == 0.0, 0.0, val)
-    return np.where(flip, -val, val)
-
-
-def _cospi(u: NDArray[np.float64]) -> NDArray[np.float64]:
-    """cos(pi * u), exact at integer and half-integer u."""
-    u = np.asarray(u, dtype=np.float64)
-    r = np.mod(u, 2.0)
-    r = np.where(r >= 1.0, 2.0 - r, r)
-    sign = np.where(r > 0.5, -1.0, 1.0)
-    r = np.where(r > 0.5, 1.0 - r, r)
-    val = np.cos(np.pi * r)
-    val = np.where(r == 0.5, 0.0, val)
-    return sign * val
+# finite numbers instead of inf.  Both values are therefore evaluated from
+# the half-turn fraction r = (2*theta/pi) mod 2 by reflections that are exact
+# in floating point (Sterbenz) onto x in [0, 0.5], then the library call on
+# x with the quarter-turn value of the cosine pinned to zero.
 
 
 def _doubled_angle(theta: NDArray[np.float64]) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
     """(cos 2*theta, sin 2*theta); exact zeros at multiples of pi/4."""
     # Divide by np.pi so that theta values built as fractions of np.pi land
-    # on exact half-integers of u.
-    u = (2.0 * np.asarray(theta, dtype=np.float64)) / np.pi
-    return _cospi(u), _sinpi(u)
+    # on exact half-integers of r.
+    r = np.mod((2.0 * np.asarray(theta, dtype=np.float64)) / np.pi, 2.0)
+    a = np.minimum(r, 2.0 - r)  # cos(pi*r) = cos(pi*a), |sin(pi*r)| = sin(pi*a)
+    x = np.minimum(a, 1.0 - a)  # cos(pi*a) = -cos(pi*x) past a = 0.5, sin equal
+    px = np.pi * x
+    cos = (1.0 - 2.0 * (a > 0.5)) * (np.cos(px) * (x != 0.5))
+    sin = (1.0 - 2.0 * (r >= 1.0)) * np.sin(px)
+    return cos, sin
 
 
 # -- parity readout ----------------------------------------------------------
@@ -335,9 +315,8 @@ def closed_form_sensitivity(spec: PipelineSpec, theta=None):
         bm1 = d0 + spec.t * spec.t * a * c2 * c2
         num = np.sqrt(bm1) * (1.0 + bm1)
         den = 2.0 * spec.t * spec.t * a * np.abs(s2 * c2)
-    den = np.asarray(den, dtype=np.float64)
-    safe = np.where(den > 0.0, den, 1.0)
-    out = np.where(den > 0.0, np.asarray(num, dtype=np.float64) / safe, np.inf)
+    ok = den > 0.0
+    out = np.where(ok, num / np.where(ok, den, 1.0), np.inf)
     return float(out) if scalar else out
 
 

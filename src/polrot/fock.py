@@ -328,23 +328,27 @@ def _shell_pairs(cutoff: int) -> tuple[tuple[tuple[int, int], ...], NDArray[np.i
     return tuple(ranges), _frozen(np.concatenate(rows)), _frozen(np.concatenate(cols))
 
 
-def rotated_parity(cutoff: int, theta: float) -> NDArray[np.complex128]:
+def rotated_parity(cutoff: int, theta) -> NDArray[np.complex128]:
     """Heisenberg-picture parity of mode 2: U^dag P U on the cutoff space.
 
-    Both U and P are block-diagonal in total photon number, so each shell
-    block is computed exactly in the full shell basis and then restricted
-    to the indices with both mode occupations <= cutoff.  Returns the
-    entries M[rows, cols] of those blocks at the _shell_pairs(cutoff)
-    positions, the only places where M is non-zero.  For any state supported
-    on that space, tr(rho * M) equals the parity measured after the
-    interferometer, with no truncation error.
+    Both U and P are block-diagonal in total photon number, and P flips the
+    sign of the shell Hamiltonian (P H P = -H), so U(theta)^dag P U(theta) =
+    P U(2*theta): each shell block is one product on the rows with both mode
+    occupations <= cutoff.  Returns the entries M[rows, cols] of those blocks
+    at the _shell_pairs(cutoff) positions, the only places where M is
+    non-zero; a 1-D theta gives one such row per angle.  For any state
+    supported on that space, tr(rho * M) equals the parity measured after
+    the interferometer, with no truncation error.
     """
+    phase = 2j * np.asarray(theta, dtype=np.float64)[..., None, None]
     blocks = []
     for s, (lo, hi) in enumerate(_shell_pairs(cutoff)[0]):
-        signs = 1.0 - 2.0 * ((s - np.arange(s + 1)) % 2)
-        w = _shell_unitary(s, theta)[:, lo : hi + 1]
-        blocks.append((w.conj().T @ (signs[:, None] * w)).ravel())
-    return np.concatenate(blocks)
+        v, w = _shell_eig(s)
+        kept = v[lo : hi + 1]
+        signs = 1.0 - 2.0 * ((s - np.arange(lo, hi + 1)) % 2)
+        block = signs[:, None] * ((kept * np.exp(phase * w)) @ kept.T)
+        blocks.append(block.reshape(*block.shape[:-2], (hi - lo + 1) ** 2))
+    return np.concatenate(blocks, axis=-1)
 
 
 # -- oracle evaluation -------------------------------------------------------
@@ -354,7 +358,7 @@ def oracle_parity_table(n: float, thetas, cases, cutoff: int | None = None) -> d
     """Batch oracle parities: {(case_index, theta_index): value}.
 
     cases is a sequence of None (lossless) or (t1, t2) pairs.  Densities
-    are built once per case and the rotated parity once per angle, which
+    are built once per case and the rotated parity once per table, which
     keeps the large-cutoff runs fast.  A lossy case whose dense density
     would exceed MAX_DENSE_BYTES raises ValueError before anything is built.
     """
@@ -383,7 +387,8 @@ def oracle_parity_table(n: float, thetas, cases, cutoff: int | None = None) -> d
         for row, i in zip(shell_rho, lossy):
             t1, t2 = cases[i]
             row[:] = loss_channel(loss_channel(FockDensity.from_ket(ket), 1, t1), 2, t2).matrix[cols, rows]
-        for j, th in enumerate(thetas):
-            for i, value in zip(lossy, shell_rho @ rotated_parity(ket.cutoff, th)):
-                results[i, j] = float(np.real(value))
+        values = np.real(shell_rho @ rotated_parity(ket.cutoff, thetas).T)
+        for i, row in zip(lossy, values):
+            for j, value in enumerate(row):
+                results[i, j] = float(value)
     return results

@@ -246,6 +246,15 @@ def test_sensitivity_requires_positive_n(capsys):
     assert "n > 0" in err
 
 
+@pytest.mark.parametrize("figure, n", [("fig2", "0"), ("fig4", "0"), ("fig2", "-1"), ("fig4", "-0.5")])
+def test_fig_requires_positive_n(capsys, figure, n):
+    code, out, err = run_cli(capsys, figure, "--n", n)
+    assert code == 1
+    assert out == ""
+    assert f"{figure} requires n > 0, got {float(n):g}" in err
+    assert "diverges" not in err
+
+
 # -- figure commands ----------------------------------------------------------
 
 

@@ -18,8 +18,7 @@ from polrot.detection import (
     pipeline_slope,
     qcrb_sensitivity,
     visibility,
-    _cospi,
-    _sinpi,
+    _doubled_angle,
 )
 from polrot.elements import PipelineSpec, thermal, tmsv, vacuum
 from polrot.phase_space import GaussianState
@@ -38,24 +37,97 @@ def det_loss(theta, n=10.0, t=0.9, n_th=0.0):
 
 
 # -- exact trig helpers -------------------------------------------------------
+#
+# _sinpi and _cospi are the earlier implementation of the half-turn
+# trigonometry, kept verbatim as the reference: _doubled_angle must give the
+# same values and sign bits, so no closed-form output moves.
+
+
+def _sinpi(u):
+    """sin(pi * u), exact at integer and half-integer u."""
+    u = np.asarray(u, dtype=np.float64)
+    r = np.mod(u, 2.0)
+    flip = r >= 1.0
+    r = np.where(flip, r - 1.0, r)
+    r = np.where(r > 0.5, 1.0 - r, r)
+    val = np.sin(np.pi * r)
+    val = np.where(r == 0.5, 1.0, val)
+    val = np.where(r == 0.0, 0.0, val)
+    return np.where(flip, -val, val)
+
+
+def _cospi(u):
+    """cos(pi * u), exact at integer and half-integer u."""
+    u = np.asarray(u, dtype=np.float64)
+    r = np.mod(u, 2.0)
+    r = np.where(r >= 1.0, 2.0 - r, r)
+    sign = np.where(r > 0.5, -1.0, 1.0)
+    r = np.where(r > 0.5, 1.0 - r, r)
+    val = np.cos(np.pi * r)
+    val = np.where(r == 0.5, 0.0, val)
+    return sign * val
+
+
+def _reference_doubled_angle(theta):
+    u = (2.0 * np.asarray(theta, dtype=np.float64)) / np.pi
+    return _cospi(u), _sinpi(u)
+
+
+def _same_bits(got, want):
+    return np.array_equal(got, want, equal_nan=True) and np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def _reference_angles():
+    rng = np.random.default_rng(13)
+    k = np.arange(-800, 801)
+    special = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -2.2e-308, 1e300, -1e300, np.nan]
+    return np.concatenate([
+        rng.uniform(-1e6, 1e6, 100_000),
+        rng.uniform(-1e15, 1e15, 100_000),
+        rng.uniform(-10.0, 10.0, 100_000),
+        k * np.pi / 8,
+        k * (np.pi / 8),
+        np.array(special),
+        # The optimizer's seed window, the visibility grid, the CLI grid.
+        np.linspace(1e-4, math.pi / 2 - 1e-4, 64),
+        np.linspace(0.0, math.pi / 2, 1801),
+        _theta_grid(181),
+    ])
+
+
+def test_doubled_angle_bits_match_reference():
+    theta = _reference_angles()
+    for got, want in zip(_doubled_angle(theta), _reference_doubled_angle(theta)):
+        assert _same_bits(got, want)
+    # A 0-d angle takes the same path as a batch.
+    for th in theta[::997]:
+        for got, want in zip(_doubled_angle(np.asarray(th)), _reference_doubled_angle(np.asarray(th))):
+            assert _same_bits(got, want)
 
 
 def test_half_turn_trig_exact_zeros():
-    assert _cospi(np.array(0.5)) == 0.0
-    assert _cospi(np.array(1.5)) == 0.0
-    assert _cospi(np.array(-0.5)) == 0.0
-    assert _sinpi(np.array(0.0)) == 0.0
-    assert _sinpi(np.array(1.0)) == 0.0
-    assert _sinpi(np.array(-2.0)) == 0.0
-    assert _sinpi(np.array(0.5)) == 1.0
-    assert _sinpi(np.array(1.5)) == -1.0
-    assert _cospi(np.array(1.0)) == -1.0
+    def cospi(u):
+        return _doubled_angle(u * np.pi / 2)[0]
+
+    def sinpi(u):
+        return _doubled_angle(u * np.pi / 2)[1]
+
+    assert cospi(np.array(0.5)) == 0.0
+    assert cospi(np.array(1.5)) == 0.0
+    assert cospi(np.array(-0.5)) == 0.0
+    assert sinpi(np.array(0.0)) == 0.0
+    assert sinpi(np.array(1.0)) == 0.0
+    assert sinpi(np.array(-2.0)) == 0.0
+    assert sinpi(np.array(0.5)) == 1.0
+    assert sinpi(np.array(1.5)) == -1.0
+    assert cospi(np.array(1.0)) == -1.0
 
 
 def test_half_turn_trig_matches_library():
     u = np.linspace(-3.7, 3.7, 301)
-    assert np.allclose(_sinpi(u), np.sin(np.pi * u), atol=5e-15)
-    assert np.allclose(_cospi(u), np.cos(np.pi * u), atol=5e-15)
+    cos, sin = _doubled_angle(u * np.pi / 2)
+    assert np.allclose(sin, np.sin(np.pi * u), atol=5e-15)
+    assert np.allclose(cos, np.cos(np.pi * u), atol=5e-15)
 
 
 # -- parity readout -----------------------------------------------------------

@@ -478,3 +478,12 @@ def test_mode_matrix_correspondence():
 
 def test_default_tail_constant():
     assert DEFAULT_TAIL == 1e-10
+
+
+@pytest.mark.parametrize("cutoff", [0, 3, 12])
+def test_rotated_parity_batch_rows_equal_scalar_calls(cutoff):
+    thetas = np.array([0.0, 0.31, np.pi / 4, 2.2, -1.0])
+    batch = rotated_parity(cutoff, thetas)
+    assert batch.shape == (thetas.size, rotated_parity(cutoff, 0.0).size)
+    for row, theta in zip(batch, thetas):
+        assert np.array_equal(row, rotated_parity(cutoff, theta))
