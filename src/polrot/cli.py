@@ -258,7 +258,7 @@ def cmd_figure(ns: argparse.Namespace) -> int:
     params = _merge(ns, dict.fromkeys([*flags, "out"]))
     # Only the values given reach the builder, so its defaults apply.
     kwargs = {_BUILDER_KEYS.get(k, k): kind(params[k]) for k, kind in flags.items() if params[k] is not None}
-    if kwargs.get("n", 1.0) <= 0.0:
+    if "n" in kwargs and kwargs["n"] <= 0.0:
         raise ValueError(f"{ns.figure} requires n > 0, got {kwargs['n']:g}")
     grid = getattr(sweeps, f"{ns.figure}_grid")(**kwargs)
     _emit(grid.to_csv(), params["out"])
