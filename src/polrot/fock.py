@@ -46,7 +46,7 @@ __all__ = [
 DEFAULT_TAIL = 1e-10
 
 # Largest d^2 x d^2 complex matrix (bytes) the lossy oracle builds; the loss
-# stage holds three at once.  Cutoff 75 (d = 76) is the last that fits.
+# stage holds two at once.  Cutoff 75 (d = 76) is the last that fits.
 MAX_DENSE_BYTES = 2**29
 
 _NORM_SLACK = 1e-9
@@ -134,24 +134,37 @@ class FockDensity:
     tail_bound: float = 0.0
 
     def __post_init__(self) -> None:
-        mat = np.array(self.matrix, dtype=np.complex128)
+        object.__setattr__(self, "matrix", np.array(self.matrix, dtype=np.complex128))
+        self._validate()
+
+    @classmethod
+    def _adopt(cls, matrix: NDArray[np.complex128], tail_bound: float) -> "FockDensity":
+        """Validate and freeze a matrix this module just built, without copying it."""
+        rho = object.__new__(cls)
+        object.__setattr__(rho, "matrix", matrix)
+        object.__setattr__(rho, "tail_bound", tail_bound)
+        return rho._validate()
+
+    def _validate(self) -> "FockDensity":
+        mat = self.matrix
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError(f"matrix must be square, got shape {mat.shape}")
         d = math.isqrt(mat.shape[0])
         if d * d != mat.shape[0]:
             raise ValueError(f"dimension {mat.shape[0]} is not a perfect square")
         herm = _hermiticity_residual(mat)
-        if herm > 1e-12:
+        if not herm <= 1e-12:
             raise ValueError(f"matrix not Hermitian, residual {herm}")
         tr = float(np.real(np.trace(mat)))
         if not 1.0 - self.tail_bound - _NORM_SLACK <= tr <= 1.0 + _NORM_SLACK:
             raise ValueError(f"trace {tr} outside [1 - {self.tail_bound}, 1]")
-        object.__setattr__(self, "matrix", _frozen(mat))
+        _frozen(mat)
+        return self
 
     @classmethod
     def from_ket(cls, ket: FockKet) -> "FockDensity":
         v = ket.amplitudes.reshape(-1)
-        return cls(np.outer(v, v.conj()), tail_bound=ket.tail_bound)
+        return cls._adopt(np.outer(v, v.conj()), ket.tail_bound)
 
     @property
     def cutoff(self) -> int:
@@ -215,31 +228,23 @@ def _shell_eig(s: int) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
     return v, w
 
 
-def _shell_unitary(s: int, theta: float) -> NDArray[np.complex128]:
-    v, w = _shell_eig(s)
-    return (v * np.exp(1j * theta * w)) @ v.T
-
-
 def apply_interferometer(ket: FockKet, theta: float) -> FockKet:
     """Evolve a ket through the interferometer, shell by shell.
 
     The output cutoff is doubled: a shell with s photons can put all of
     them into one mode, so the result is exact with no new truncation.
+    Each shell is evolved in its eigenbasis: V (e^{i theta w} * (V^T psi)).
     """
     c = ket.cutoff
     d_out = 2 * c + 1
     out = np.zeros((d_out, d_out), dtype=np.complex128)
     for s in range(2 * c + 1):
-        lo = max(0, s - c)
-        hi = min(s, c)
-        if lo > hi:
-            continue
-        vec = np.zeros(s + 1, dtype=np.complex128)
+        lo, hi = max(0, s - c), min(s, c)
+        v, w = _shell_eig(s)
         ks = np.arange(lo, hi + 1)
-        vec[ks] = ket.amplitudes[ks, s - ks]
-        res = _shell_unitary(s, theta) @ vec
+        coeffs = v[lo : hi + 1].T @ ket.amplitudes[ks, s - ks]
         kk = np.arange(s + 1)
-        out[kk, s - kk] = res
+        out[kk, s - kk] = v @ (np.exp(1j * theta * w) * coeffs)
     return FockKet(out, tail_bound=ket.tail_bound)
 
 
@@ -267,6 +272,14 @@ def _kraus_mixers(d: int, t: float) -> list[NDArray[np.float64]]:
     return mixers
 
 
+def _plane_diagonal(flat: NDArray[np.complex128], d: int, mode: int, e: int) -> NDArray[np.complex128]:
+    """View, as (lower lossy index, other ket, other bra), of the entries of a
+    flattened d^2 x d^2 density whose lossy-mode ket index exceeds its bra index by e."""
+    ket, bra, other_ket, other_bra = (d**3, d, d * d, 1) if mode == 1 else (d * d, 1, d**3, d)
+    strides = [flat.itemsize * k for k in (ket + bra, other_ket, other_bra)]
+    return np.lib.stride_tricks.as_strided(flat[e * ket :], (d - e, d, d), strides)
+
+
 def loss_channel(rho: FockDensity, mode: int, t: float) -> FockDensity:
     """Pure photon loss of transmissivity t on one mode (Kraus sum).
 
@@ -274,28 +287,34 @@ def loss_channel(rho: FockDensity, mode: int, t: float) -> FockDensity:
     sqrt(C(n, k) * (1-t)^k * t^(n-k)); the channel is trace preserving by
     the binomial theorem.  Loss keeps the ket-bra photon-number difference
     of the lossy mode, so each diagonal of that plane is mixed on its own,
-    by one real matrix product over all other indices.
+    by one real matrix product over all other indices.  The output is
+    Hermitian, so only diagonals with ket index >= bra index are mixed.
     """
     if mode not in (1, 2):
         raise ValueError(f"mode must be 1 or 2, got {mode}")
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"transmissivity must be in [0, 1], got {t}")
     d = rho.cutoff + 1
-    out = np.zeros((d, d, d, d), dtype=np.complex128)
-    # Views ordered (lossy ket, other ket, lossy bra, other bra).
-    src = rho.matrix.reshape(d, d, d, d)
-    dst = out
-    if mode == 2:
-        src, dst = src.transpose(1, 0, 3, 2), out.transpose(1, 0, 3, 2)
-    mixers = _kraus_mixers(d, t)
-    for delta in range(1 - d, d):
-        e = abs(delta)
-        low = np.arange(d - e)
-        ket, bra = (low + e, low) if delta >= 0 else (low, low + e)
-        diag = np.ascontiguousarray(src[ket, :, bra, :])
-        mixed = mixers[e] @ diag.view(np.float64).reshape(d - e, -1)
-        dst[ket, :, bra, :] = mixed.view(np.complex128).reshape(d - e, d, d)
-    return FockDensity(out.reshape(d * d, d * d), tail_bound=rho.tail_bound)
+    src, out = rho.matrix.reshape(-1), np.empty(d**4, dtype=np.complex128)
+    for e, mixer in enumerate(_kraus_mixers(d, t)):
+        have, mixed = _plane_diagonal(src, d, mode, e), _plane_diagonal(out, d, mode, e)
+        if mode == 1:
+            # The other bra index has unit stride, so BLAS reads rho and
+            # writes the output directly: one product per other-ket index.
+            np.matmul(mixer, have.view(np.float64).swapaxes(0, 1), out=mixed.view(np.float64).swapaxes(0, 1))
+        else:
+            flat = np.ascontiguousarray(have).view(np.float64).reshape(d - e, -1)
+            mixed[...] = (mixer @ flat).view(np.complex128).reshape(d - e, d, d)
+    # The entries whose lossy bra index exceeds the ket's, and the lower
+    # triangles of the blocks where they are equal, are the conjugates of
+    # mixed ones; with a real diagonal the output is exactly Hermitian.
+    lossy_first = out.reshape(d, d, d, d) if mode == 1 else out.reshape(d, d, d, d).transpose(1, 0, 3, 2)
+    for l in range(d - 1):
+        np.conjugate(lossy_first[l + 1 :, :, l, :].transpose(2, 0, 1), out=lossy_first[l, :, l + 1 :, :])
+    blocks = _plane_diagonal(out, d, mode, 0)
+    np.conjugate(blocks.swapaxes(1, 2), out=blocks, where=np.tri(d, k=-1, dtype=bool))
+    blocks.imag[:, np.arange(d), np.arange(d)] = 0.0
+    return FockDensity._adopt(out.reshape(d * d, d * d), rho.tail_bound)
 
 
 # -- parity ------------------------------------------------------------------

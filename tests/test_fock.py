@@ -292,6 +292,46 @@ def test_loss_matches_kraus_sum_on_generic_densities(d, mode, t):
     rho = FockDensity(_random_density(d, rng))
     got = loss_channel(rho, mode, t).matrix
     assert np.max(np.abs(got - _kraus_sum(rho.matrix, mode, t))) <= 1e-14
+    # half the diagonals are filled as conjugate transposes of the others
+    assert fock._hermiticity_residual(got) == 0.0
+
+
+@pytest.mark.parametrize("mode", [1, 2])
+@pytest.mark.parametrize("t", [0.37, 1.0])
+def test_loss_matches_kraus_sum_at_the_benchmark_cutoff(mode, t):
+    # the oracle's largest default cutoff: the strided mode-1 products and
+    # the mode-2 gather run on every plane diagonal of a d = 34 density
+    rho = FockDensity.from_ket(tmsv_ket(2.0))
+    assert rho.cutoff == 33
+    got = loss_channel(rho, mode, t).matrix
+    assert np.max(np.abs(got - _kraus_sum(rho.matrix, mode, t))) <= 1e-14
+    assert fock._hermiticity_residual(got) == 0.0
+
+
+def test_density_constructor_copies_its_input():
+    m = _random_density(3, np.random.default_rng(5))
+    rho = FockDensity(m)
+    want = rho.matrix.copy()
+    m[0, 1] += 0.5
+    assert m.flags.writeable
+    assert np.array_equal(rho.matrix, want)
+
+
+def test_built_densities_are_read_only():
+    rho = FockDensity.from_ket(tmsv_ket(0.5))
+    for out in (rho, loss_channel(rho, 1, 0.6), loss_channel(rho, 2, 0.6)):
+        assert not out.matrix.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            out.matrix[0, 0] = 0.0
+
+
+def test_density_rejects_nan_off_the_diagonal():
+    # a NaN residual compares False with any bound, so the test must not
+    # read "residual > bound"
+    m = _random_density(7, np.random.default_rng(11))
+    m[3, 40] = np.nan
+    with pytest.raises(ValueError, match="matrix not Hermitian, residual nan"):
+        FockDensity(m)
 
 
 def test_loss_parameter_validation():
@@ -411,7 +451,7 @@ def test_oracle_matches_gaussian_with_loss():
             ), f"case {case} theta {th}"
 
 
-def test_oracle_memory_stays_within_three_dense_matrices():
+def test_oracle_memory_stays_within_two_dense_matrices():
     thetas = list(np.linspace(0.0, np.pi / 2, 9))
     oracle_parity_table(2.0, thetas, [(0.8, 0.5)])  # warm the shell caches
     tracemalloc.start()
@@ -420,7 +460,7 @@ def test_oracle_memory_stays_within_three_dense_matrices():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 3.5 * (34 * 34) ** 2 * 16
+    assert peak <= 2.5 * (34 * 34) ** 2 * 16
 
 
 def test_oracle_rejects_a_cutoff_whose_density_would_not_fit(monkeypatch):
