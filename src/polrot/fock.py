@@ -76,14 +76,18 @@ def _hermiticity_residual(mat: NDArray[np.complex128]) -> float:
     """max |M - M^H|, scanned in row blocks so no full-size temporary is made.
 
     The residual is symmetric, so each block covers its own rows from its
-    first column on; earlier blocks cover the entries left of it.
+    first column on; earlier blocks cover the entries left of it.  A block
+    equal to its conjugate transpose part for part contributes 0, so |.| is
+    taken only in blocks that differ (a NaN never compares equal).
     """
     dim = mat.shape[0]
     step = max(1, _HERM_BLOCK // max(dim, 1))
     worst = [0.0]
     for i in range(0, dim, step):
         j = min(i + step, dim)
-        worst.append(np.max(np.abs(mat[i:j, i:] - mat[i:, i:j].conj().T)))
+        rows, cols = mat[i:j, i:], mat[i:, i:j].T
+        if not (np.array_equal(rows.real, cols.real) and np.array_equal(rows.imag, -cols.imag)):
+            worst.append(np.max(np.abs(rows - cols.conj())))
     return float(np.max(worst))
 
 
@@ -164,7 +168,10 @@ class FockDensity:
     @classmethod
     def from_ket(cls, ket: FockKet) -> "FockDensity":
         v = ket.amplitudes.reshape(-1)
-        return cls._adopt(np.outer(v, v.conj()), ket.tail_bound)
+        keep = np.flatnonzero(v)
+        mat = np.zeros((v.size, v.size), dtype=np.complex128)
+        mat[np.ix_(keep, keep)] = np.outer(v[keep], v[keep].conj())
+        return cls._adopt(mat, ket.tail_bound)
 
     @property
     def cutoff(self) -> int:
@@ -172,21 +179,24 @@ class FockDensity:
 
 
 def required_cutoff(n: float) -> int:
-    """Smallest per-mode cutoff whose geometric truncation tail is < DEFAULT_TAIL."""
+    """Smallest per-mode cutoff whose geometric truncation tail is < DEFAULT_TAIL.
+
+    It is at least 1: at cutoff 0 the whole state sits on the boundary.
+    """
     if not 0.0 <= n < math.inf:
         raise ValueError(f"mean photon number n must be finite and >= 0, got {n}")
     tail = DEFAULT_TAIL
     t = n / (n + 2.0)
     if t == 0.0:
-        return 0
+        return 1
     if t == 1.0:
         # Past n ~ 1.8e16 t rounds to 1 and t**k cannot reach the tail;
         # the exact log of n/(n+2) still gives the cutoff.
         return math.floor(math.log(tail) / math.log1p(-2.0 / (n + 2.0)))
-    # Start from the log estimate, then settle on the smallest c with
-    # t**(c+1) < tail, the same test a count up from 0 would stop at.
-    c = max(math.floor(math.log(tail) / math.log(t)), 0)
-    while c > 0 and t**c < tail:
+    # Start from the log estimate, then settle on the smallest c >= 1 with
+    # t**(c+1) < tail, the same test a count up from 1 would stop at.
+    c = max(math.floor(math.log(tail) / math.log(t)), 1)
+    while c > 1 and t**c < tail:
         c -= 1
     while t ** (c + 1) >= tail:
         c += 1
@@ -251,6 +261,12 @@ def apply_interferometer(ket: FockKet, theta: float) -> FockKet:
 # -- loss --------------------------------------------------------------------
 
 
+@lru_cache(maxsize=4)
+def _binomials(d: int) -> NDArray[np.float64]:
+    """C(a, k) at [k, a] for k, a < d."""
+    return _frozen(np.array([[math.comb(a, k) for a in range(d)] for k in range(d)], dtype=np.float64))
+
+
 def _kraus_mixers(d: int, t: float) -> list[NDArray[np.float64]]:
     """Per diagonal offset e, the upper-triangular (d-e) x (d-e) loss matrix.
 
@@ -261,8 +277,7 @@ def _kraus_mixers(d: int, t: float) -> list[NDArray[np.float64]]:
     """
     k = np.arange(d)[:, None]
     a = np.arange(d)[None, :]
-    comb = np.array([[math.comb(i, j) for i in range(d)] for j in range(d)], dtype=np.float64)
-    amp = np.sqrt(comb * (1.0 - t) ** k * t ** np.maximum(a - k, 0).astype(np.float64))
+    amp = np.sqrt(_binomials(d) * (1.0 - t) ** k * t ** np.maximum(a - k, 0).astype(np.float64))
     mixers = []
     for e in range(d):
         j = np.arange(d - e)
@@ -274,10 +289,12 @@ def _kraus_mixers(d: int, t: float) -> list[NDArray[np.float64]]:
 
 def _plane_diagonal(flat: NDArray[np.complex128], d: int, mode: int, e: int) -> NDArray[np.complex128]:
     """View, as (lower lossy index, other ket, other bra), of the entries of a
-    flattened d^2 x d^2 density whose lossy-mode ket index exceeds its bra index by e."""
+    flattened d^2 x d^2 density whose lossy-mode ket index exceeds its bra
+    index by e (e < 0: the bra index exceeds the ket's by -e)."""
     ket, bra, other_ket, other_bra = (d**3, d, d * d, 1) if mode == 1 else (d * d, 1, d**3, d)
     strides = [flat.itemsize * k for k in (ket + bra, other_ket, other_bra)]
-    return np.lib.stride_tricks.as_strided(flat[e * ket :], (d - e, d, d), strides)
+    start = e * ket if e >= 0 else -e * bra
+    return np.lib.stride_tricks.as_strided(flat[start:], (d - abs(e), d, d), strides)
 
 
 def loss_channel(rho: FockDensity, mode: int, t: float) -> FockDensity:
@@ -287,33 +304,28 @@ def loss_channel(rho: FockDensity, mode: int, t: float) -> FockDensity:
     sqrt(C(n, k) * (1-t)^k * t^(n-k)); the channel is trace preserving by
     the binomial theorem.  Loss keeps the ket-bra photon-number difference
     of the lossy mode, so each diagonal of that plane is mixed on its own,
-    by one real matrix product over all other indices.  The output is
-    Hermitian, so only diagonals with ket index >= bra index are mixed.
+    by one real matrix product over its live columns: the (other ket, other
+    bra) pairs with a non-zero entry, since a zero column mixes to zero.
+    The output is Hermitian, so only diagonals with ket index >= bra index
+    (and, where they are equal, other ket <= other bra) are mixed; their
+    conjugates fill the mirrored entries, and the density's diagonal is
+    set real, so the output is exactly Hermitian.
     """
     if mode not in (1, 2):
         raise ValueError(f"mode must be 1 or 2, got {mode}")
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"transmissivity must be in [0, 1], got {t}")
     d = rho.cutoff + 1
-    src, out = rho.matrix.reshape(-1), np.empty(d**4, dtype=np.complex128)
+    src, out = rho.matrix.reshape(-1), np.zeros(d**4, dtype=np.complex128)
     for e, mixer in enumerate(_kraus_mixers(d, t)):
-        have, mixed = _plane_diagonal(src, d, mode, e), _plane_diagonal(out, d, mode, e)
-        if mode == 1:
-            # The other bra index has unit stride, so BLAS reads rho and
-            # writes the output directly: one product per other-ket index.
-            np.matmul(mixer, have.view(np.float64).swapaxes(0, 1), out=mixed.view(np.float64).swapaxes(0, 1))
-        else:
-            flat = np.ascontiguousarray(have).view(np.float64).reshape(d - e, -1)
-            mixed[...] = (mixer @ flat).view(np.complex128).reshape(d - e, d, d)
-    # The entries whose lossy bra index exceeds the ket's, and the lower
-    # triangles of the blocks where they are equal, are the conjugates of
-    # mixed ones; with a real diagonal the output is exactly Hermitian.
-    lossy_first = out.reshape(d, d, d, d) if mode == 1 else out.reshape(d, d, d, d).transpose(1, 0, 3, 2)
-    for l in range(d - 1):
-        np.conjugate(lossy_first[l + 1 :, :, l, :].transpose(2, 0, 1), out=lossy_first[l, :, l + 1 :, :])
-    blocks = _plane_diagonal(out, d, mode, 0)
-    np.conjugate(blocks.swapaxes(1, 2), out=blocks, where=np.tri(d, k=-1, dtype=bool))
-    blocks.imag[:, np.arange(d), np.arange(d)] = 0.0
+        have = _plane_diagonal(src, d, mode, e)
+        live = have.any(axis=0) & (np.tri(d, dtype=bool).T if e == 0 else True)
+        ket, bra = np.nonzero(live)  # other-mode indices of the live columns
+        mixed = (mixer @ np.ascontiguousarray(have[:, ket, bra]).view(np.float64)).view(np.complex128)
+        if e == 0:
+            mixed.imag[:, ket == bra] = 0.0
+        _plane_diagonal(out, d, mode, -e)[:, bra, ket] = mixed.conj()
+        _plane_diagonal(out, d, mode, e)[:, ket, bra] = mixed
     return FockDensity._adopt(out.reshape(d * d, d * d), rho.tail_bound)
 
 

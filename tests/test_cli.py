@@ -441,6 +441,14 @@ def test_fock_validate_n_above_two_uses_the_required_cutoff(capsys):
     assert "all 1 cases pass" in out
 
 
+@pytest.mark.parametrize("n", ["0", "1e-300"])
+def test_fock_validate_accepts_vanishing_photon_numbers(capsys, n):
+    code, out, _ = run_cli(capsys, "fock-validate", "--n", n)
+    assert code == 0
+    assert f"n={float(n):g} cutoff=1 " in out
+    assert "all 10 cases pass" in out
+
+
 def test_fock_validate_partial_loss_pair(capsys):
     code, _, err = run_cli(capsys, "fock-validate", "--n", "1", "--t1", "0.5")
     assert code == 1

@@ -40,10 +40,10 @@ def test_required_cutoff_values():
 
 
 def _count_up_cutoff(n, tail):
-    # reference: count up from 0 until the geometric tail t**(c+1) drops
+    # reference: count up from 1 until the geometric tail t**(c+1) drops
     # below the bound
     t = n / (n + 2.0)
-    c = 0
+    c = 1
     while t ** (c + 1) >= tail:
         c += 1
     return c
@@ -52,7 +52,7 @@ def _count_up_cutoff(n, tail):
 @pytest.mark.parametrize("tail", [1e-3, DEFAULT_TAIL, 1e-15, 0.5])
 def test_required_cutoff_matches_counting_up(monkeypatch, tail):
     # the log start and its corrections must land on the count-up value
-    # for tail bounds far from the default too (tail 0.5 gives cutoff 0)
+    # for tail bounds far from the default too (tail 0.5 gives the floor 1)
     monkeypatch.setattr(fock, "DEFAULT_TAIL", tail)
     for n in [0.0, 0.5, 1.0, 2.0, *np.logspace(-8, 2, 120)]:
         assert required_cutoff(float(n)) == _count_up_cutoff(float(n), tail), n
@@ -70,6 +70,16 @@ def test_required_cutoff_returns_where_t_rounds_to_one():
     assert n / (n + 2.0) == 1.0
     want = (n + 2.0) / 2.0 * math.log(1.0 / DEFAULT_TAIL)
     assert required_cutoff(n) == pytest.approx(want, rel=1e-9)
+
+
+@pytest.mark.parametrize("n", [0.0, 1e-300, 2e-10])
+def test_automatic_cutoff_is_at_least_one(n):
+    # at cutoff 0 the whole state would sit on the truncation boundary
+    assert required_cutoff(n) == 1
+    k = tmsv_ket(n)
+    assert k.cutoff == 1
+    assert k.amplitudes[0, 0] == pytest.approx(1.0, abs=1e-9)
+    assert k.tail_bound < DEFAULT_TAIL
 
 
 @pytest.mark.parametrize("n", [-1.0, math.nan, math.inf])
@@ -253,6 +263,37 @@ def test_density_hermiticity_residual_is_the_full_maximum(monkeypatch, block):
             FockDensity(skew)
 
 
+@pytest.mark.parametrize("block", [48, 1 << 16])
+def test_hermiticity_scan_equals_the_brute_force_maximum(monkeypatch, block):
+    # on an exactly Hermitian base every row block compares equal to its
+    # conjugate transpose part; a perturbed block must still give the full
+    # maximum, wherever the perturbation sits (three rows per block at 48)
+    monkeypatch.setattr(fock, "_HERM_BLOCK", block)
+    g = _random_density(4, np.random.default_rng(3))
+    base = (g + g.conj().T) / 2
+    assert fock._hermiticity_residual(base) == 0.0
+    # first and last row of the second block, the diagonal, the last block
+    for p, q, dz in ((3, 10, 2e-9), (5, 1, 1e-9j), (7, 7, 3e-9j), (15, 4, -1e-9), (15, 15, 1e-9j)):
+        skew = base.copy()
+        skew[p, q] += dz
+        want = np.max(np.abs(skew - skew.conj().T))
+        assert want > 0.0
+        assert fock._hermiticity_residual(skew) == want
+    # entries that differ from the conjugate only in the sign of a zero
+    signed = base.copy()
+    signed[2, 9], signed[9, 2] = complex(0.0, 0.0), complex(-0.0, 0.0)
+    signed[4, 11] = signed[11, 4] = complex(0.25, 0.0)
+    signed[6, 6] = complex(signed[6, 6].real, -0.0)
+    assert fock._hermiticity_residual(signed) == 0.0
+    FockDensity(signed)
+    # a NaN never compares equal, so its block is measured and rejected
+    bad = base.copy()
+    bad[8, 13] = bad[13, 8] = complex(np.nan, 0.0)
+    assert math.isnan(fock._hermiticity_residual(bad))
+    with pytest.raises(ValueError, match="matrix not Hermitian, residual nan"):
+        FockDensity(bad)
+
+
 def _kraus_sum(matrix, mode, t):
     # reference: the Kraus operators applied one photon count k at a time
     d = math.isqrt(matrix.shape[0])
@@ -296,11 +337,59 @@ def test_loss_matches_kraus_sum_on_generic_densities(d, mode, t):
     assert fock._hermiticity_residual(got) == 0.0
 
 
+def _lossy_first(m4, mode):
+    # axes (lossy ket, other ket, lossy bra, other bra); its own inverse
+    return m4 if mode == 1 else m4.transpose(1, 0, 3, 2)
+
+
+def _sparse_density(d, mode, rng):
+    # a generic density kept on a random symmetric tenth of its entries,
+    # the dropped ones set to -0.0; one plane-diagonal column is non-zero
+    # only in its imaginary part
+    m = _random_density(d, rng)
+    keep = rng.random(m.shape) < 0.1
+    keep |= keep.T
+    np.fill_diagonal(keep, True)
+    m[~keep] = complex(-0.0, -0.0)
+    lossy = _lossy_first(m.reshape(d, d, d, d), mode)
+    l = np.arange(d - 1)
+    lossy[l + 1, 0, l, d - 1] = lossy[l, d - 1, l + 1, 0] = 0.0
+    lossy[d - 1, 0, d - 2, d - 1], lossy[d - 2, d - 1, d - 1, 0] = 0.03j, -0.03j
+    return m / np.trace(m).real
+
+
+def _dead_entries(matrix, mode):
+    # entries whose plane-diagonal column (same lossy ket-bra offset, same
+    # other ket and bra) holds no non-zero input entry
+    d = math.isqrt(matrix.shape[0])
+    nz = _lossy_first(matrix.reshape(d, d, d, d), mode) != 0
+    dead = np.ones_like(nz)
+    for e in range(1 - d, d):
+        l = np.arange(max(0, -e), d - max(0, e))
+        dead[l + e, :, l, :] = ~nz[l + e, :, l, :].any(axis=0)
+    return _lossy_first(dead, mode).reshape(d * d, d * d)
+
+
+@pytest.mark.parametrize("d", [2, 5, 9])
+@pytest.mark.parametrize("mode", [1, 2])
+@pytest.mark.parametrize("t", [0.0, 0.37, 1.0])
+def test_loss_matches_kraus_sum_on_sparse_densities(d, mode, t):
+    rng = np.random.default_rng(100 * d + 10 * mode + int(100 * t))
+    rho = FockDensity(_sparse_density(d, mode, rng))
+    assert np.any(rho.matrix.imag != 0) and np.any(np.signbit(rho.matrix.real) & (rho.matrix == 0))
+    got = loss_channel(rho, mode, t).matrix
+    assert np.max(np.abs(got - _kraus_sum(rho.matrix, mode, t))) <= 1e-14
+    dead = _dead_entries(rho.matrix, mode)
+    assert dead.any() and not dead.all()
+    assert np.all(got[dead] == 0.0)
+    assert fock._hermiticity_residual(got) == 0.0
+
+
 @pytest.mark.parametrize("mode", [1, 2])
 @pytest.mark.parametrize("t", [0.37, 1.0])
 def test_loss_matches_kraus_sum_at_the_benchmark_cutoff(mode, t):
-    # the oracle's largest default cutoff: the strided mode-1 products and
-    # the mode-2 gather run on every plane diagonal of a d = 34 density
+    # the oracle's largest default cutoff: every plane diagonal of a d = 34
+    # density is mixed, on the few live columns a TMSV leaves
     rho = FockDensity.from_ket(tmsv_ket(2.0))
     assert rho.cutoff == 33
     got = loss_channel(rho, mode, t).matrix
@@ -315,6 +404,23 @@ def test_density_constructor_copies_its_input():
     m[0, 1] += 0.5
     assert m.flags.writeable
     assert np.array_equal(rho.matrix, want)
+
+
+def test_density_from_ket_is_the_outer_product():
+    rng = np.random.default_rng(9)
+    amps = (rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))) * (rng.random((4, 4)) < 0.5)
+    amps[0, 0] = 1.0
+    amps[-1, :] = amps[:, -1] = 0.0
+    for ket in (FockKet(amps / np.linalg.norm(amps)), tmsv_ket(1.0)):
+        v = ket.amplitudes.reshape(-1)
+        assert np.array_equal(FockDensity.from_ket(ket).matrix, np.outer(v, v.conj()))
+
+
+def test_binomial_table_is_shared_and_read_only():
+    table = fock._binomials(6)
+    assert fock._binomials(6) is table
+    assert not table.flags.writeable
+    assert all(table[k, a] == math.comb(a, k) for k in range(6) for a in range(6))
 
 
 def test_built_densities_are_read_only():
