@@ -17,12 +17,17 @@ Loss shrinks photon numbers, so lossy states stay inside the input cutoff;
 the measurement after the interferometer is evaluated in the Heisenberg
 picture via rotated_parity, which is exact on that subspace because both
 parity and the interferometer are block-diagonal in total photon number.
+
+A density is validated in one pass over its non-zero entries, about 2% of
+a matrix derived from a two-mode squeezed vacuum.  The same pass records,
+for each mode, the columns that loss on that mode mixes, so the loss stage
+reads no zero entry of its input.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -51,7 +56,7 @@ MAX_DENSE_BYTES = 2**29
 
 _NORM_SLACK = 1e-9
 
-# Entries per row block when scanning a density matrix for Hermiticity.
+# Entries of the flattened matrix per chunk of a density's validation pass.
 _HERM_BLOCK = 1 << 16
 
 
@@ -72,23 +77,47 @@ def _frozen(arr: NDArray) -> NDArray:
     return arr
 
 
-def _hermiticity_residual(mat: NDArray[np.complex128]) -> float:
-    """max |M - M^H|, scanned in row blocks so no full-size temporary is made.
+def _nonzero_scan(mat: NDArray[np.complex128]) -> tuple[float, NDArray[np.bool_]]:
+    """One pass over the non-zero entries of a d^2 x d^2 density matrix.
 
-    The residual is symmetric, so each block covers its own rows from its
-    first column on; earlier blocks cover the entries left of it.  A block
-    equal to its conjugate transpose part for part contributes 0, so |.| is
-    taken only in blocks that differ (a NaN never compares equal).
+    The flattened matrix is read _HERM_BLOCK entries at a time, and an entry
+    counts as non-zero when its real or imaginary part does (NaN included).
+    Returns max |M - M^H| and the loss stage's live columns.  The residual
+    is taken over the non-zero entries and their mirrors only, which is the
+    full maximum: a pair of zeros contributes 0, and otherwise one entry of
+    the pair is scanned, with |a - conj(b)| = |b - conj(a)|.  live[mode - 1]
+    is a mask over (offset e >= 0, other ket, other bra): the column of
+    the lossy mode's ket-bra diagonal with ket index - bra index = e and
+    those other-mode indices holds a non-zero entry.  At e = 0 only the
+    columns with other ket <= other bra are kept, the ones loss mixes.
     """
-    dim = mat.shape[0]
-    step = max(1, _HERM_BLOCK // max(dim, 1))
+    d = math.isqrt(mat.shape[0])
+    dim = d * d
+    # An entry at (row, col) of diagonal e of a mode's plane lies in column
+    # key = e*d^2 + other ket*d + other bra = ket_part[row] + bra_part[col],
+    # and e < 0 exactly where key < 0.
+    hi, lo = np.divmod(np.arange(dim), d)
+    parts = ((hi * dim + lo * d, lo - hi * dim), (lo * dim + hi * d, hi - lo * dim))
+    flat = mat.reshape(-1)
+    live = np.zeros((2, d * dim), dtype=bool)
     worst = [0.0]
-    for i in range(0, dim, step):
-        j = min(i + step, dim)
-        rows, cols = mat[i:j, i:], mat[i:, i:j].T
-        if not (np.array_equal(rows.real, cols.real) and np.array_equal(rows.imag, -cols.imag)):
-            worst.append(np.max(np.abs(rows - cols.conj())))
-    return float(np.max(worst))
+    for start in range(0, flat.size, _HERM_BLOCK):
+        chunk = flat[start : start + _HERM_BLOCK]
+        # Part by part as float64 (NaN counts, -0.0 does not), then the two
+        # flags of an entry as one uint16: faster than a complex compare.
+        at = np.flatnonzero((chunk.view(np.float64) != 0).view(np.uint16) != 0)
+        if at.size == 0:
+            continue
+        row, col = np.divmod(at + start, dim)
+        diff = chunk[at].conj()
+        diff -= flat[col * dim + row]
+        if diff.any():
+            worst.append(np.max(np.abs(diff)))
+        for mask, (ket_part, bra_part) in zip(live, parts):
+            key = ket_part[row] + bra_part[col]
+            mask[key[key >= 0]] = True
+    live[:, :dim] &= np.tri(d, dtype=bool).T.reshape(-1)
+    return float(np.max(worst)), _frozen(live.reshape(2, d, d, d))
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,10 +161,15 @@ class FockKet:
 
 @dataclass(frozen=True, eq=False)
 class FockDensity:
-    """Two-mode mixed state; matrix indexed row-major by (n1, n2)."""
+    """Two-mode mixed state; matrix indexed row-major by (n1, n2).
+
+    _live holds, per lossy mode, the columns loss_channel mixes; the
+    validation pass finds them (see _nonzero_scan).
+    """
 
     matrix: NDArray[np.complex128]
     tail_bound: float = 0.0
+    _live: NDArray[np.bool_] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "matrix", np.array(self.matrix, dtype=np.complex128))
@@ -156,13 +190,16 @@ class FockDensity:
         d = math.isqrt(mat.shape[0])
         if d * d != mat.shape[0]:
             raise ValueError(f"dimension {mat.shape[0]} is not a perfect square")
-        herm = _hermiticity_residual(mat)
+        if not (0.0 <= self.tail_bound < 1.0):
+            raise ValueError(f"tail_bound must be in [0, 1), got {self.tail_bound}")
+        herm, live = _nonzero_scan(mat)
         if not herm <= 1e-12:
             raise ValueError(f"matrix not Hermitian, residual {herm}")
         tr = float(np.real(np.trace(mat)))
         if not 1.0 - self.tail_bound - _NORM_SLACK <= tr <= 1.0 + _NORM_SLACK:
             raise ValueError(f"trace {tr} outside [1 - {self.tail_bound}, 1]")
         _frozen(mat)
+        object.__setattr__(self, "_live", live)
         return self
 
     @classmethod
@@ -287,14 +324,15 @@ def _kraus_mixers(d: int, t: float) -> list[NDArray[np.float64]]:
     return mixers
 
 
-def _plane_diagonal(flat: NDArray[np.complex128], d: int, mode: int, e: int) -> NDArray[np.complex128]:
-    """View, as (lower lossy index, other ket, other bra), of the entries of a
+def _plane_columns(d: int, mode: int, e: int, ket: NDArray[np.intp], bra: NDArray[np.intp]) -> NDArray[np.intp]:
+    """Flat indices, as (lower lossy index, column), of the entries of a
     flattened d^2 x d^2 density whose lossy-mode ket index exceeds its bra
-    index by e (e < 0: the bra index exceeds the ket's by -e)."""
-    ket, bra, other_ket, other_bra = (d**3, d, d * d, 1) if mode == 1 else (d * d, 1, d**3, d)
-    strides = [flat.itemsize * k for k in (ket + bra, other_ket, other_bra)]
-    start = e * ket if e >= 0 else -e * bra
-    return np.lib.stride_tricks.as_strided(flat[start:], (d - abs(e), d, d), strides)
+    index by e (e < 0: the bra index exceeds the ket's by -e) and whose
+    other-mode ket and bra indices are ket[i] and bra[i] in column i."""
+    lossy_ket, lossy_bra, other_ket, other_bra = (d**3, d, d * d, 1) if mode == 1 else (d * d, 1, d**3, d)
+    start = e * lossy_ket if e >= 0 else -e * lossy_bra
+    lower = np.arange(d - abs(e))[:, None] * (lossy_ket + lossy_bra)
+    return lower + (start + ket * other_ket + bra * other_bra)
 
 
 def loss_channel(rho: FockDensity, mode: int, t: float) -> FockDensity:
@@ -306,10 +344,12 @@ def loss_channel(rho: FockDensity, mode: int, t: float) -> FockDensity:
     of the lossy mode, so each diagonal of that plane is mixed on its own,
     by one real matrix product over its live columns: the (other ket, other
     bra) pairs with a non-zero entry, since a zero column mixes to zero.
-    The output is Hermitian, so only diagonals with ket index >= bra index
-    (and, where they are equal, other ket <= other bra) are mixed; their
-    conjugates fill the mirrored entries, and the density's diagonal is
-    set real, so the output is exactly Hermitian.
+    The density's validation pass found those columns, so a diagonal with
+    none is skipped and the others are gathered straight into one
+    contiguous array.  The output is Hermitian, so only diagonals with ket
+    index >= bra index (and, where they are equal, other ket <= other bra)
+    are mixed; their conjugates fill the mirrored entries, and the
+    density's diagonal is set real, so the output is exactly Hermitian.
     """
     if mode not in (1, 2):
         raise ValueError(f"mode must be 1 or 2, got {mode}")
@@ -317,15 +357,16 @@ def loss_channel(rho: FockDensity, mode: int, t: float) -> FockDensity:
         raise ValueError(f"transmissivity must be in [0, 1], got {t}")
     d = rho.cutoff + 1
     src, out = rho.matrix.reshape(-1), np.zeros(d**4, dtype=np.complex128)
-    for e, mixer in enumerate(_kraus_mixers(d, t)):
-        have = _plane_diagonal(src, d, mode, e)
-        live = have.any(axis=0) & (np.tri(d, dtype=bool).T if e == 0 else True)
+    for e, (mixer, live) in enumerate(zip(_kraus_mixers(d, t), rho._live[mode - 1])):
         ket, bra = np.nonzero(live)  # other-mode indices of the live columns
-        mixed = (mixer @ np.ascontiguousarray(have[:, ket, bra]).view(np.float64)).view(np.complex128)
+        if ket.size == 0:
+            continue
+        cols = _plane_columns(d, mode, e, ket, bra)
+        mixed = (mixer @ src[cols].view(np.float64)).view(np.complex128)
         if e == 0:
             mixed.imag[:, ket == bra] = 0.0
-        _plane_diagonal(out, d, mode, -e)[:, bra, ket] = mixed.conj()
-        _plane_diagonal(out, d, mode, e)[:, ket, bra] = mixed
+        out[_plane_columns(d, mode, -e, bra, ket)] = mixed.conj()
+        out[cols] = mixed
     return FockDensity._adopt(out.reshape(d * d, d * d), rho.tail_bound)
 
 
@@ -390,8 +431,10 @@ def oracle_parity_table(n: float, thetas, cases, cutoff: int | None = None) -> d
 
     cases is a sequence of None (lossless) or (t1, t2) pairs.  Densities
     are built once per case and the rotated parity once per table, which
-    keeps the large-cutoff runs fast.  A lossy case whose dense density
-    would exceed MAX_DENSE_BYTES raises ValueError before anything is built.
+    keeps the large-cutoff runs fast.  Each case builds its input density
+    afresh rather than sharing one, so at most two dense matrices exist at
+    a time.  A lossy case whose dense density would exceed MAX_DENSE_BYTES
+    raises ValueError before anything is built.
     """
     thetas = [float(x) for x in thetas]
     lossy = [i for i, case in enumerate(cases) if case is not None]

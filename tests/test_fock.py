@@ -24,6 +24,10 @@ from polrot.fock import (
 )
 
 
+def _hermiticity_residual(matrix):
+    return fock._nonzero_scan(matrix)[0]
+
+
 def basis_ket(n1, n2, cutoff=4):
     amps = np.zeros((cutoff + 1, cutoff + 1), dtype=complex)
     amps[n1, n2] = 1.0
@@ -249,12 +253,12 @@ def test_complete_loss_empties_one_arm():
 
 @pytest.mark.parametrize("block", [16, 48, 1 << 16])
 def test_density_hermiticity_residual_is_the_full_maximum(monkeypatch, block):
-    # the check scans row blocks (one, three or all 16 rows at a time here);
-    # each skew entry, above or below the diagonal, must give the residual
-    # the whole matrix gives
+    # the check reads chunks of one, three or all 16 rows here; each skew
+    # entry, above or below the diagonal, must give the residual the whole
+    # matrix gives
     monkeypatch.setattr(fock, "_HERM_BLOCK", block)
     base = _random_density(4, np.random.default_rng(7))
-    assert fock._hermiticity_residual(base) == np.max(np.abs(base - base.conj().T))
+    assert _hermiticity_residual(base) == np.max(np.abs(base - base.conj().T))
     for p, q in ((0, 15), (15, 0), (5, 9), (9, 5), (3, 3)):
         skew = base.copy()
         skew[p, q] += 2e-9 + 1e-9j
@@ -263,35 +267,84 @@ def test_density_hermiticity_residual_is_the_full_maximum(monkeypatch, block):
             FockDensity(skew)
 
 
-@pytest.mark.parametrize("block", [48, 1 << 16])
+@pytest.mark.parametrize("block", [1, 7, 48, 1 << 16])
 def test_hermiticity_scan_equals_the_brute_force_maximum(monkeypatch, block):
-    # on an exactly Hermitian base every row block compares equal to its
-    # conjugate transpose part; a perturbed block must still give the full
-    # maximum, wherever the perturbation sits (three rows per block at 48)
+    # on an exactly Hermitian base every non-zero entry equals the conjugate
+    # of its mirror; a perturbed chunk must still give the full maximum,
+    # wherever the perturbation sits (three rows per chunk at 48; chunks of
+    # 1 and 7 entries do not align with the 16-entry rows)
     monkeypatch.setattr(fock, "_HERM_BLOCK", block)
     g = _random_density(4, np.random.default_rng(3))
     base = (g + g.conj().T) / 2
-    assert fock._hermiticity_residual(base) == 0.0
-    # first and last row of the second block, the diagonal, the last block
+    assert _hermiticity_residual(base) == 0.0
+    for m in (g, _sparse_density(4, 1, np.random.default_rng(21))):
+        assert _hermiticity_residual(m) == np.max(np.abs(m - m.conj().T))
+    # first and last row of the second chunk, the diagonal, the last chunk
     for p, q, dz in ((3, 10, 2e-9), (5, 1, 1e-9j), (7, 7, 3e-9j), (15, 4, -1e-9), (15, 15, 1e-9j)):
         skew = base.copy()
         skew[p, q] += dz
         want = np.max(np.abs(skew - skew.conj().T))
         assert want > 0.0
-        assert fock._hermiticity_residual(skew) == want
+        assert _hermiticity_residual(skew) == want
+    # a non-zero entry whose mirror is exactly zero, above and below the
+    # diagonal, and ones that are non-zero only in their imaginary part
+    for p, q, z in ((1, 14, 3e-9), (14, 1, -2e-9), (6, 11, 4e-9j), (11, 6, -1e-9j)):
+        lone = base.copy()
+        lone[p, q], lone[q, p] = z, 0.0
+        want = np.max(np.abs(lone - lone.conj().T))
+        assert want == abs(z)
+        assert _hermiticity_residual(lone) == want
     # entries that differ from the conjugate only in the sign of a zero
     signed = base.copy()
     signed[2, 9], signed[9, 2] = complex(0.0, 0.0), complex(-0.0, 0.0)
     signed[4, 11] = signed[11, 4] = complex(0.25, 0.0)
     signed[6, 6] = complex(signed[6, 6].real, -0.0)
-    assert fock._hermiticity_residual(signed) == 0.0
+    assert _hermiticity_residual(signed) == 0.0
     FockDensity(signed)
-    # a NaN never compares equal, so its block is measured and rejected
-    bad = base.copy()
-    bad[8, 13] = bad[13, 8] = complex(np.nan, 0.0)
-    assert math.isnan(fock._hermiticity_residual(bad))
-    with pytest.raises(ValueError, match="matrix not Hermitian, residual nan"):
-        FockDensity(bad)
+    # a NaN counts as non-zero, so it is measured and rejected, also where
+    # its mirror is zero
+    for mirror in (complex(np.nan, 0.0), 0.0):
+        bad = base.copy()
+        bad[8, 13], bad[13, 8] = complex(np.nan, 0.0), mirror
+        assert math.isnan(_hermiticity_residual(bad))
+        with pytest.raises(ValueError, match="matrix not Hermitian, residual nan"):
+            FockDensity(bad)
+
+
+def _live_reference(matrix, mode):
+    # the loss stage's former liveness rule: per plane diagonal e >= 0, a
+    # column (other ket, other bra) is live when it holds a non-zero entry,
+    # have.any(axis=0), and at e = 0 only the upper triangle is kept
+    d = math.isqrt(matrix.shape[0])
+    m4 = _lossy_first(matrix.reshape(d, d, d, d), mode)
+    live = np.zeros((d, d, d), dtype=bool)
+    for e in range(d):
+        l = np.arange(d - e)
+        have = m4[l + e, :, l, :]
+        live[e] = have.any(axis=0) & (np.tri(d, dtype=bool).T if e == 0 else True)
+    return live
+
+
+@pytest.mark.parametrize("d", [2, 5, 9])
+@pytest.mark.parametrize("block", [7, 1 << 16])
+def test_validation_pass_finds_the_live_columns_of_both_modes(monkeypatch, d, block):
+    monkeypatch.setattr(fock, "_HERM_BLOCK", block)
+    rng = np.random.default_rng(30 + d)
+    for built in (1, 2):
+        rho = FockDensity(_sparse_density(d, built, rng))
+        assert rho._live.shape == (2, d, d, d)
+        assert not rho._live.flags.writeable
+        for mode in (1, 2):
+            want = _live_reference(rho.matrix, mode)
+            assert np.array_equal(rho._live[mode - 1], want)
+            if d > 2:
+                assert want.any() and not want.all()
+    assert np.array_equal(FockDensity(np.eye(1))._live, np.ones((2, 1, 1, 1), dtype=bool))
+    # the TMSV and its lossy descendants, as the oracle builds them
+    rho = FockDensity.from_ket(tmsv_ket(0.5))
+    for out in (rho, loss_channel(rho, 1, 0.7), loss_channel(loss_channel(rho, 1, 0.7), 2, 0.4)):
+        for mode in (1, 2):
+            assert np.array_equal(out._live[mode - 1], _live_reference(out.matrix, mode))
 
 
 def _kraus_sum(matrix, mode, t):
@@ -334,7 +387,7 @@ def test_loss_matches_kraus_sum_on_generic_densities(d, mode, t):
     got = loss_channel(rho, mode, t).matrix
     assert np.max(np.abs(got - _kraus_sum(rho.matrix, mode, t))) <= 1e-14
     # half the diagonals are filled as conjugate transposes of the others
-    assert fock._hermiticity_residual(got) == 0.0
+    assert _hermiticity_residual(got) == 0.0
 
 
 def _lossy_first(m4, mode):
@@ -382,7 +435,7 @@ def test_loss_matches_kraus_sum_on_sparse_densities(d, mode, t):
     dead = _dead_entries(rho.matrix, mode)
     assert dead.any() and not dead.all()
     assert np.all(got[dead] == 0.0)
-    assert fock._hermiticity_residual(got) == 0.0
+    assert _hermiticity_residual(got) == 0.0
 
 
 @pytest.mark.parametrize("mode", [1, 2])
@@ -394,7 +447,7 @@ def test_loss_matches_kraus_sum_at_the_benchmark_cutoff(mode, t):
     assert rho.cutoff == 33
     got = loss_channel(rho, mode, t).matrix
     assert np.max(np.abs(got - _kraus_sum(rho.matrix, mode, t))) <= 1e-14
-    assert fock._hermiticity_residual(got) == 0.0
+    assert _hermiticity_residual(got) == 0.0
 
 
 def test_density_constructor_copies_its_input():
@@ -429,6 +482,17 @@ def test_built_densities_are_read_only():
         assert not out.matrix.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             out.matrix[0, 0] = 0.0
+
+
+@pytest.mark.parametrize("bound", [1.5, -0.1, math.nan])
+def test_density_rejects_a_tail_bound_outside_the_unit_interval(bound):
+    # with bound 1.5 the trace check alone would admit a trace of -0.4
+    msg = re.escape(f"tail_bound must be in [0, 1), got {bound}")
+    for m in (np.array([[-0.4]]), np.eye(4) / 4):
+        with pytest.raises(ValueError, match=msg):
+            FockDensity(m, tail_bound=bound)
+    with pytest.raises(ValueError, match=msg):
+        FockKet(np.eye(2)[:1].T @ np.eye(2)[:1], tail_bound=bound)
 
 
 def test_density_rejects_nan_off_the_diagonal():
@@ -563,6 +627,36 @@ def test_oracle_memory_stays_within_two_dense_matrices():
     tracemalloc.start()
     try:
         oracle_parity_table(2.0, thetas, [(0.8, 0.5)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * (34 * 34) ** 2 * 16
+
+
+@pytest.mark.parametrize("mode", [1, 2])
+def test_loss_memory_on_a_fully_dense_input(mode):
+    # every column is live and the validation pass sees every entry; the
+    # output is one dense matrix, the rest must stay small
+    dense = (34 * 34) ** 2 * 16
+    rho = FockDensity(_random_density(34, np.random.default_rng(13)))
+    loss_channel(rho, mode, 0.6)  # warm the binomial table
+    tracemalloc.start()
+    try:
+        loss_channel(rho, mode, 0.6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * dense
+
+
+def test_oracle_memory_with_several_lossy_cases_stays_within_two_dense_matrices():
+    # no density outlives its case, so three cases peak as one does
+    thetas = list(np.linspace(0.0, np.pi / 2, 9))
+    cases = [(0.8, 0.5), None, (0.5, 0.9), (1.0, 0.3)]
+    oracle_parity_table(2.0, thetas, cases)  # warm the shell caches
+    tracemalloc.start()
+    try:
+        oracle_parity_table(2.0, thetas, cases)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
