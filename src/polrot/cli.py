@@ -7,10 +7,12 @@ Subcommands
     fock-validate  number-basis cross-check of the Gaussian results
 
 Output is CSV on stdout or --out PATH, byte-identical across runs.  A JSON
---config file may supply any flag value (keys use underscores, e.g.
-"theta_steps"); explicit flags win.  Angles accept radians or pi-fraction
-literals such as pi/4 or 3pi/8.  Exit codes: 0 success, 1 usage or
-configuration error, 2 validation failure.
+--config file may supply any flag value of its command (keys use
+underscores, e.g. "theta_steps").  Each value is parsed exactly as the flag
+is, with the same type and choices checks, and explicit flags win; null
+leaves a flag unset, and a bool, array or object is rejected.  Angles
+accept radians or pi-fraction literals such as pi/4 or 3pi/8.  Exit codes:
+0 success, 1 usage or configuration error, 2 validation failure.
 """
 
 from __future__ import annotations
@@ -48,14 +50,6 @@ _FOCK_DEFAULT_NS = (0.5, 1.0, 2.0)
 _FOCK_DEFAULT_TS = (0.5, 0.8, 1.0)
 _FOCK_TOL = 1e-6
 
-# Figure command -> (help, {flag key: type} in flag order).  Each command
-# calls sweeps.<command>_grid, which holds the defaults.
-_FIGURES = {
-    "fig2": ("visibility and optimum over (t1, t2)", {"n": float, "t1_steps": int, "t2_steps": int}),
-    "fig3": ("optimum over (t, n), equal generation loss", {"t_steps": int, "n_steps": int}),
-    "fig4": ("visibility and optimum over (t, n_th)", {"n": float, "t_steps": int, "nth_steps": int}),
-    "fig5": ("optimum over (t, n), thermal detection", {"nth": float, "t_steps": int, "n_steps": int}),
-}
 # Flag keys spelled differently from the builder keyword they set.
 _BUILDER_KEYS = {"nth": "n_th"}
 
@@ -63,8 +57,8 @@ _BUILDER_KEYS = {"nth": "n_th"}
 def parse_angle(text) -> float:
     """Angle in radians from a number or a pi-fraction literal like 'pi/4'.
 
-    Numbers (from a JSON config) are read through str(), which round-trips
-    floats exactly.  Unparsable and non-finite angles raise ValueError.
+    Numbers are read through str(), which round-trips floats exactly.
+    Unparsable and non-finite angles raise ValueError.
     """
     s = str(text).strip().replace(" ", "")
     m = _PI_LITERAL.match(s)
@@ -94,7 +88,6 @@ def _theta_grid(steps: int) -> np.ndarray:
     the midpoint angle divides back to an exact quarter turn and divergent
     sensitivities serialize as inf instead of a large float.
     """
-    steps = int(steps)
     if steps < 2:
         raise ValueError(f"theta_steps must be >= 2, got {steps}")
     return (0.5 * np.arange(steps) / (steps - 1)) * np.pi
@@ -108,183 +101,102 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", help="JSON file supplying default flag values")
-    sub.add_argument("--out", help="write CSV/report to this path instead of stdout")
+def _config_tokens(ns: argparse.Namespace) -> list[str]:
+    """The command's --config values as --key=value tokens for its parser."""
+    try:
+        raw = json.loads(Path(ns.config).read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"cannot read config {ns.config}: {exc}") from None
+    if not isinstance(raw, dict):
+        raise ValueError(f"config {ns.config} must hold a JSON object")
+    flags = {**_COMMANDS[ns.command][2], "out": _COMMON["out"]}
+    unknown = sorted(set(raw) - set(flags))
+    if unknown:
+        raise ValueError(f"unknown config keys for this command: {', '.join(unknown)}")
+    tokens = []
+    for key, value in raw.items():
+        # A number stands for the text its flag would carry; a path is text.
+        path = flags[key].get("type") is Path
+        if isinstance(value, str) or (type(value) in (int, float) and not path):
+            tokens.append(f"--{key.replace('_', '-')}={value}")
+        elif value is not None:
+            kind = "a string" if path else "a number or a string"
+            raise ValueError(f"config key {key!r} takes {kind}, got {json.dumps(value)}")
+    return tokens
 
 
-def _add_variant_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--variant", choices=VARIANTS)
-    sub.add_argument("--n", type=float, help="total mean photon number of the probe")
-    sub.add_argument("--theta", help="single angle (radians or pi fraction)")
-    sub.add_argument("--theta-steps", type=int, help="grid size over [0, pi/2]")
-    sub.add_argument("--t1", type=float, help="generation transmissivity, mode 1 (r1)")
-    sub.add_argument("--t2", type=float, help="generation transmissivity, mode 2 (r1)")
-    sub.add_argument("--t", type=float, help="detection efficiency (r2)")
-    sub.add_argument("--nth", type=float, help="thermal occupation of the detector port (r2)")
+def _spec_for(ns: argparse.Namespace) -> PipelineSpec:
+    return PipelineSpec(variant=ns.variant, theta=0.0, n=ns.n, t1=ns.t1, t2=ns.t2, t=ns.t, n_th=ns.nth)
 
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built once per process and never mutated."""
-    parser = _Parser(prog="polrot", description=__doc__.splitlines()[0])
-    subs = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    p = subs.add_parser("signal", help="parity signal vs rotation angle")
-    _add_variant_flags(p)
-    _add_common(p)
-    p.set_defaults(func=cmd_signal)
-
-    p = subs.add_parser("sensitivity", help="closed-form sensitivity vs angle")
-    _add_variant_flags(p)
-    _add_common(p)
-    p.set_defaults(func=cmd_sensitivity)
-
-    for name, (help_text, flags) in _FIGURES.items():
-        p = subs.add_parser(name, help=help_text)
-        for key, kind in flags.items():
-            p.add_argument("--" + key.replace("_", "-"), type=kind)
-        _add_common(p)
-        p.set_defaults(func=cmd_figure, figure=name)
-
-    p = subs.add_parser("fock-validate", help="number-basis cross-check")
-    p.add_argument("--n", type=float, help="restrict to one photon number (default 0.5, 1, 2)")
-    p.add_argument("--theta", help="restrict to one angle (default 9-point grid)")
-    p.add_argument("--t1", type=float, help="restrict to one loss pair (with --t2)")
-    p.add_argument("--t2", type=float)
-    p.add_argument("--cutoff", type=int, help="explicit per-mode cutoff override")
-    _add_common(p)
-    p.set_defaults(func=cmd_fock_validate)
-
-    return parser
+def _thetas_from(ns: argparse.Namespace) -> np.ndarray:
+    if ns.theta is not None:
+        return np.array([parse_angle(ns.theta)])
+    return _theta_grid(ns.theta_steps)
 
 
-def _merge(ns: argparse.Namespace, defaults: dict) -> dict:
-    """Resolve flags > config file > hard defaults for one subcommand."""
-    cfg = {}
-    config_path = getattr(ns, "config", None)
-    if config_path:
-        try:
-            raw = json.loads(Path(config_path).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ValueError(f"cannot read config {config_path}: {exc}") from None
-        if not isinstance(raw, dict):
-            raise ValueError(f"config {config_path} must hold a JSON object")
-        unknown = sorted(set(raw) - set(defaults))
-        if unknown:
-            raise ValueError(f"unknown config keys for this command: {', '.join(unknown)}")
-        cfg = raw
-    merged = {}
-    for key, default in defaults.items():
-        value = getattr(ns, key, None)
-        if value is None:
-            value = cfg.get(key, default)
-        if value is None:
-            value = default
-        merged[key] = value
-    return merged
-
-
-_VARIANT_DEFAULTS = {
-    "variant": "lossless",
-    "n": 10.0,
-    "theta": None,
-    "theta_steps": 181,
-    "t1": None,
-    "t2": None,
-    "t": None,
-    "nth": None,
-    "out": None,
-}
-
-
-def _spec_for(params: dict, theta: float) -> PipelineSpec:
-    return PipelineSpec(
-        variant=params["variant"],
-        theta=theta,
-        n=float(params["n"]),
-        t1=None if params["t1"] is None else float(params["t1"]),
-        t2=None if params["t2"] is None else float(params["t2"]),
-        t=None if params["t"] is None else float(params["t"]),
-        n_th=None if params["nth"] is None else float(params["nth"]),
-    )
-
-
-def _thetas_from(params: dict) -> np.ndarray:
-    if params["theta"] is not None:
-        return np.array([parse_angle(params["theta"])])
-    return _theta_grid(params["theta_steps"])
-
-
-def _emit(text: str, out) -> None:
+def _emit(text: str, out: Path | None) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        Path(out).write_text(text, encoding="utf-8", newline="")
+        out.write_text(text, encoding="utf-8", newline="")
 
 
 def cmd_signal(ns: argparse.Namespace) -> int:
-    params = _merge(ns, _VARIANT_DEFAULTS)
-    thetas = _thetas_from(params)
-    signals = pipeline_signal(_spec_for(params, 0.0), thetas)
-    rows = [(th, s, *outcome_probabilities(s)) for th, s in zip(thetas, signals)]
-    _emit(serialize_rows(("theta_rad", "signal", "p_even", "p_odd"), rows), params["out"])
+    thetas = _thetas_from(ns)
+    signals = pipeline_signal(_spec_for(ns), thetas)
+    rows = zip(thetas, signals, *outcome_probabilities(signals))
+    _emit(serialize_rows(("theta_rad", "signal", "p_even", "p_odd"), rows), ns.out)
     return 0
 
 
 def cmd_sensitivity(ns: argparse.Namespace) -> int:
-    params = _merge(ns, _VARIANT_DEFAULTS)
-    n = float(params["n"])
+    n = ns.n
     if n <= 0.0:
         raise ValueError("sensitivity requires n > 0")
-    spec = _spec_for(params, 0.0)
+    spec = _spec_for(ns)
     theta_opt, d_opt = optimal_sensitivity(lambda x: closed_form_sensitivity(spec, x))
     check_quantum_bound(n, d_opt)
     hl = 1.0 / (2.0 * n)
     inv_n = 1.0 / n
-    thetas = _thetas_from(params)
+    thetas = _thetas_from(ns)
     deltas = closed_form_sensitivity(spec, thetas)
     # 1/inf**2 = 0: a divergent row carries no Fisher information.
     fishers = 1.0 / (deltas * deltas)
     rows = [(th, d, f, hl, inv_n, 0.0) for th, d, f in zip(thetas, deltas, fishers)]
     rows.append((theta_opt, d_opt, 1.0 / (d_opt * d_opt), hl, inv_n, 1.0))
     columns = ("theta_rad", "delta_theta", "fisher", "hl", "inv_n", "is_optimal")
-    _emit(serialize_rows(columns, rows), params["out"])
+    _emit(serialize_rows(columns, rows), ns.out)
     return 0
 
 
 def cmd_figure(ns: argparse.Namespace) -> int:
-    _, flags = _FIGURES[ns.figure]
-    params = _merge(ns, dict.fromkeys([*flags, "out"]))
-    # Only the values given reach the builder, so its defaults apply.
-    kwargs = {_BUILDER_KEYS.get(k, k): kind(params[k]) for k, kind in flags.items() if params[k] is not None}
+    _, _, flags = _COMMANDS[ns.command]
+    kwargs = {_BUILDER_KEYS.get(k, k): getattr(ns, k) for k in flags if getattr(ns, k) is not None}
     if "n" in kwargs and kwargs["n"] <= 0.0:
-        raise ValueError(f"{ns.figure} requires n > 0, got {kwargs['n']:g}")
-    grid = getattr(sweeps, f"{ns.figure}_grid")(**kwargs)
-    _emit(grid.to_csv(), params["out"])
+        raise ValueError(f"{ns.command} requires n > 0, got {kwargs['n']:g}")
+    grid = getattr(sweeps, f"{ns.command}_grid")(**kwargs)
+    _emit(grid.to_csv(), ns.out)
     return 0
 
 
 def cmd_fock_validate(ns: argparse.Namespace) -> int:
-    defaults = {"n": None, "theta": None, "t1": None, "t2": None, "cutoff": None, "out": None}
-    params = _merge(ns, defaults)
-    cutoff = None if params["cutoff"] is None else int(params["cutoff"])
-    ns_list = [float(params["n"])] if params["n"] is not None else list(_FOCK_DEFAULT_NS)
-    if (params["t1"] is None) != (params["t2"] is None):
+    ns_list = [ns.n] if ns.n is not None else list(_FOCK_DEFAULT_NS)
+    if (ns.t1 is None) != (ns.t2 is None):
         raise ValueError("give both --t1 and --t2 or neither")
-    if params["t1"] is not None:
-        cases = [(float(params["t1"]), float(params["t2"]))]
+    if ns.t1 is not None:
+        cases = [(ns.t1, ns.t2)]
     else:
         cases = [None] + [(t1, t2) for t1 in _FOCK_DEFAULT_TS for t2 in _FOCK_DEFAULT_TS]
-    if params["theta"] is not None:
-        thetas = [parse_angle(params["theta"])]
+    if ns.theta is not None:
+        thetas = [parse_angle(ns.theta)]
     else:
         thetas = list(_theta_grid(9))
 
     lines = [f"fock-basis cross-check of the matrix pipeline (tolerance {_FOCK_TOL:g})"]
     failures = 0
     for n in ns_list:
-        used_cutoff = cutoff if cutoff is not None else fock.required_cutoff(n)
+        used_cutoff = ns.cutoff if ns.cutoff is not None else fock.required_cutoff(n)
         table = fock.oracle_parity_table(n, thetas, cases, cutoff=used_cutoff)
         for i, case in enumerate(cases):
             if case is None:
@@ -307,14 +219,70 @@ def cmd_fock_validate(ns: argparse.Namespace) -> int:
         lines.append(f"{failures} of {total} cases FAIL")
     else:
         lines.append(f"all {total} cases pass")
-    _emit("\n".join(lines) + "\n", params["out"])
+    _emit("\n".join(lines) + "\n", ns.out)
     return 2 if failures else 0
+
+
+# Each command's flags, declared once: key -> add_argument keywords.  The key
+# is both the flag (underscores become hyphens) and the --config key.
+_COMMON = {
+    "config": {"help": "JSON file supplying default flag values"},
+    "out": {"type": Path, "help": "write CSV/report to this path instead of stdout"},
+}
+_VARIANT_FLAGS = {
+    "variant": {"choices": VARIANTS, "default": "lossless"},
+    "n": {"type": float, "default": 10.0, "help": "total mean photon number of the probe"},
+    "theta": {"help": "single angle (radians or pi fraction)"},
+    "theta_steps": {"type": int, "default": 181, "help": "grid size over [0, pi/2]"},
+    "t1": {"type": float, "help": "generation transmissivity, mode 1 (r1)"},
+    "t2": {"type": float, "help": "generation transmissivity, mode 2 (r1)"},
+    "t": {"type": float, "help": "detection efficiency (r2)"},
+    "nth": {"type": float, "help": "thermal occupation of the detector port (r2)"},
+}
+_FLOAT, _INT = {"type": float}, {"type": int}
+# Command -> (help, handler, flags), in the order the help lists them.  Figure
+# flags default to None: only the values given reach sweeps.<command>_grid,
+# which holds the defaults.
+_COMMANDS = {
+    "signal": ("parity signal vs rotation angle", cmd_signal, _VARIANT_FLAGS),
+    "sensitivity": ("closed-form sensitivity vs angle", cmd_sensitivity, _VARIANT_FLAGS),
+    "fig2": ("visibility and optimum over (t1, t2)", cmd_figure, {"n": _FLOAT, "t1_steps": _INT, "t2_steps": _INT}),
+    "fig3": ("optimum over (t, n), equal generation loss", cmd_figure, {"t_steps": _INT, "n_steps": _INT}),
+    "fig4": ("visibility and optimum over (t, n_th)", cmd_figure, {"n": _FLOAT, "t_steps": _INT, "nth_steps": _INT}),
+    "fig5": ("optimum over (t, n), thermal detection", cmd_figure, {"nth": _FLOAT, "t_steps": _INT, "n_steps": _INT}),
+    "fock-validate": ("number-basis cross-check", cmd_fock_validate, {
+        "n": {"type": float, "help": "restrict to one photon number (default 0.5, 1, 2)"},
+        "theta": {"help": "restrict to one angle (default 9-point grid)"},
+        "t1": {"type": float, "help": "restrict to one loss pair (with --t2)"},
+        "t2": {"type": float},
+        "cutoff": {"type": int, "help": "explicit per-mode cutoff override"},
+    }),
+}
+
+
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and never mutated."""
+    parser = _Parser(prog="polrot", description=__doc__.splitlines()[0])
+    subs = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    for name, (help_text, func, flags) in _COMMANDS.items():
+        p = subs.add_parser(name, help=help_text)
+        for key, kwargs in {**flags, **_COMMON}.items():
+            p.add_argument("--" + key.replace("_", "-"), **kwargs)
+        p.set_defaults(func=func)
+    return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     ns = parser.parse_args(argv)
     try:
+        if ns.config:
+            # The config's tokens go before the explicit flags, which win by
+            # coming last.
+            argv = sys.argv[1:] if argv is None else list(argv)
+            at = argv.index(ns.command) + 1
+            ns = parser.parse_args([*argv[:at], *_config_tokens(ns), *argv[at:]])
         return ns.func(ns)
     except CutoffTooSmallError as exc:
         print(f"polrot: validation error: {exc}", file=sys.stderr)

@@ -95,12 +95,20 @@ def parity_expectation(state: GaussianState):
     return float(sig) if sig.ndim == 0 else sig
 
 
-def outcome_probabilities(signal: float) -> tuple[float, float]:
-    """(even, odd) photon-count probabilities for a parity expectation."""
-    if abs(signal) > 1.0 + 1e-12:
-        raise ValueError(f"parity expectation must lie in [-1, 1], got {signal}")
-    s = min(1.0, max(-1.0, float(signal)))
-    return (1.0 + s) / 2.0, (1.0 - s) / 2.0
+def outcome_probabilities(signal):
+    """(even, odd) photon-count probabilities for a parity expectation.
+
+    A scalar gives two floats, an array two arrays of its shape.  Roundoff
+    up to 1e-12 beyond [-1, 1] is clipped; NaN or a larger excess anywhere
+    in the batch raises ValueError.
+    """
+    s = np.asarray(signal, dtype=float)
+    bad = ~(np.abs(s) <= 1.0 + 1e-12)
+    if bad.any():
+        raise ValueError(f"parity expectation must lie in [-1, 1], got {s[bad].flat[0]}")
+    s = np.clip(s, -1.0, 1.0)
+    even, odd = (1.0 + s) / 2.0, (1.0 - s) / 2.0
+    return (float(even), float(odd)) if s.ndim == 0 else (even, odd)
 
 
 def pipeline_signal(spec: PipelineSpec, theta=None):

@@ -22,7 +22,15 @@ DATA = Path(__file__).resolve().parent / "data"
 
 
 def run_cli(capsys, *argv):
-    code = main(list(argv))
+    """main's exit code, counting a usage error's SystemExit, with stdout and stderr.
+
+    Any other exception propagates: on the command line it would end in a
+    traceback instead of an exit code.
+    """
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -237,7 +245,7 @@ def test_config_infinite_angle_exits_one(capsys, tmp_path):
     cfg.write_text('{"theta": Infinity}')
     code, _, err = run_cli(capsys, "sensitivity", "--config", str(cfg))
     assert code == 1
-    assert "angle inf is not finite" in err
+    assert "angle 'inf' is not finite" in err
 
 
 def test_sensitivity_requires_positive_n(capsys):
@@ -324,10 +332,18 @@ REFERENCE_VARIANT_FLAGS = {
 
 @pytest.mark.parametrize("variant", sorted(REFERENCE_VARIANT_FLAGS))
 @pytest.mark.parametrize("command", ["signal", "sensitivity"])
-def test_curve_command_matches_reference(capsys, command, variant):
-    code, out, err = run_cli(capsys, command, *REFERENCE_VARIANT_FLAGS[variant], "--theta-steps", "9")
-    assert code == 0, err
-    assert out.encode() == (DATA / f"{command}_{variant}_ref.csv").read_bytes()
+def test_curve_command_matches_reference(capsys, tmp_path, command, variant):
+    flags = [*REFERENCE_VARIANT_FLAGS[variant], "--theta-steps", "9"]
+    # The same values as a config file: flag names to keys, numbers as JSON numbers.
+    values = {flag[2:].replace("-", "_"): value for flag, value in zip(flags[::2], flags[1::2])}
+    values = {key: value if key == "variant" else json.loads(value) for key, value in values.items()}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(values))
+    want = (DATA / f"{command}_{variant}_ref.csv").read_bytes()
+    for name, args in (("flags", flags), ("config", ["--config", str(cfg)])):
+        code, out, err = run_cli(capsys, command, *args)
+        assert code == 0, err
+        assert out.encode() == want, name
 
 
 def test_fig5_config_takes_nth_not_n_th(capsys, tmp_path):
@@ -378,6 +394,55 @@ def test_config_rejects_malformed_json(capsys, tmp_path):
 def test_config_missing_file(capsys):
     code, _, err = run_cli(capsys, "signal", "--config", "/no/such/file.json")
     assert code == 1
+
+
+HUGE_INT = "1" + "0" * 400
+
+
+@pytest.mark.parametrize(
+    "command, text, named",
+    [
+        ("signal", '{"theta_steps": 2.7}', "argument --theta-steps: invalid int value: '2.7'"),
+        ("fig2", '{"t1_steps": 3.9}', "argument --t1-steps: invalid int value: '3.9'"),
+        ("fock-validate", '{"cutoff": 2.5}', "argument --cutoff: invalid int value: '2.5'"),
+        ("fock-validate", '{"t1": 0.5, "t2": true}', "config key 't2' takes a number or a string, got true"),
+        pytest.param("signal", f'{{"n": {HUGE_INT}}}', "n must be", id="signal-n-401-digits"),
+        pytest.param("sensitivity", f'{{"n": {HUGE_INT}}}', "n must be", id="sensitivity-n-401-digits"),
+        pytest.param("fig2", f'{{"n": {HUGE_INT}}}', "n must be", id="fig2-n-401-digits"),
+        pytest.param("fock-validate", f'{{"n": {HUGE_INT}, "cutoff": 5}}', "mean photon number n", id="fock-validate-n-401-digits"),
+        ("signal", '{"theta_steps": 1e400}', "argument --theta-steps: invalid int value: 'inf'"),
+        ("fig2", '{"t1_steps": 1e400}', "argument --t1-steps: invalid int value: 'inf'"),
+        ("signal", '{"n": [1]}', "config key 'n' takes a number or a string, got [1]"),
+        ("fig3", '{"t_steps": {"a": 1}}', "config key 't_steps' takes a number or a string"),
+        ("signal", '{"out": 5}', "config key 'out' takes a string, got 5"),
+        ("signal", '{"variant": "r3"}', "argument --variant: invalid choice: 'r3'"),
+        ("signal", '{"n": "ten"}', "argument --n: invalid float value: 'ten'"),
+    ],
+)
+def test_config_values_are_parsed_as_flags(capsys, tmp_path, command, text, named):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    code, _, err = run_cli(capsys, command, "--config", str(cfg))
+    assert code == 1
+    assert named in err
+    assert "Traceback" not in err
+
+
+def test_config_null_leaves_the_flag_unset(capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"theta_steps": None, "theta": None, "n": 2.0}))
+    code, out, err = run_cli(capsys, "signal", "--config", str(cfg))
+    assert code == 0, err
+    assert out == run_cli(capsys, "signal", "--n", "2")[1]
+
+
+def test_config_defect_exits_one_without_traceback(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(f'{{"n": {HUGE_INT}}}')
+    proc = _cli_process(tmp_path, "fig2", "--config", str(cfg))
+    assert proc.returncode == 1
+    assert "n must be" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 # -- usage errors -------------------------------------------------------------

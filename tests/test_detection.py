@@ -166,6 +166,16 @@ def test_outcome_probabilities():
         outcome_probabilities(1.001)
 
 
+def test_outcome_probabilities_of_a_batch():
+    even, odd = outcome_probabilities(np.array([1.0, -1.0 - 1e-13]))
+    assert even.shape == odd.shape == (2,)
+    assert even.tolist() == [1.0, 0.0]
+    assert odd.tolist() == [0.0, 1.0]
+    for bad in (float("nan"), np.array([0.5, np.nan]), np.array([[0.5], [-1.001]])):
+        with pytest.raises(ValueError, match="must lie in"):
+            outcome_probabilities(bad)
+
+
 # -- pipeline signal spot values ----------------------------------------------
 
 
