@@ -277,7 +277,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     ns = parser.parse_args(argv)
     try:
-        if ns.config:
+        if ns.config is not None:
             # The config's tokens go before the explicit flags, which win by
             # coming last.
             argv = sys.argv[1:] if argv is None else list(argv)

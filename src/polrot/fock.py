@@ -11,12 +11,16 @@ mode operators is the 2x2 matrix exp(i*theta*sigma_x), which is exactly the
 plate-rotator-plate composite of the quadrature pipeline (the test suite
 pins this correspondence).  It conserves total photon number, so it is
 applied shell by shell; within a shell of s photons the Hamiltonian is a
-real symmetric tridiagonal matrix with off-diagonal sqrt((k+1)(s-k)).
+real symmetric tridiagonal matrix with off-diagonal sqrt((k+1)(s-k)) and
+the integer spectrum -s, -s+2, ..., s, so every phase is an integer power
+of e^{i theta} and any finite angle is exact to rounding.
 
 Loss shrinks photon numbers, so lossy states stay inside the input cutoff;
 the measurement after the interferometer is evaluated in the Heisenberg
 picture via rotated_parity, which is exact on that subspace because both
 parity and the interferometer are block-diagonal in total photon number.
+Loss keeps each mode's ket-bra photon-number difference, equal in both
+modes of a two-mode squeezed vacuum, so only populations reach the parity.
 
 A density is validated in one pass over its non-zero entries, about 2% of
 a matrix derived from a two-mode squeezed vacuum.  The same pass records,
@@ -265,14 +269,30 @@ def tmsv_ket(n: float, cutoff: int | None = None) -> FockKet:
 
 
 @lru_cache(maxsize=None)
-def _shell_eig(s: int) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
-    """Eigendecomposition of the s-photon shell Hamiltonian (V, eigenvalues)."""
-    if s == 0:
-        return np.ones((1, 1)), np.zeros(1)
+def _shell_vectors(s: int) -> NDArray[np.float64]:
+    """Eigenvectors of the s-photon shell Hamiltonian (2 J_x of spin s/2) by
+    column; column j has the exact eigenvalue 2j - s, not eigh's rounded one."""
     off = np.sqrt([(k + 1) * (s - k) for k in range(s)])
-    h = np.diag(off, 1) + np.diag(off, -1)
-    w, v = np.linalg.eigh(h)
-    return v, w
+    return _frozen(np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))[1])
+
+
+def _phase_table(z, top: int) -> NDArray[np.complex128]:
+    """z**m for m = -top..top at [..., top + m], z**-m = conj(z**m): products of
+    repeated squares of z, never the rounded theta*m, in real arithmetic, which
+    rounds alike on every memory layout (numpy's complex product does not)."""
+    z = np.asarray(z, dtype=np.complex128)
+    table = np.ones(z.shape + (2 * top + 1,), dtype=np.complex128)
+    re, im = table.real[..., top:], table.imag[..., top:]
+    sq_re, sq_im, size = z.real[..., None], z.imag[..., None], 1
+    while size <= top:
+        n = min(size, top + 1 - size)
+        lo_re, lo_im = re[..., :n], im[..., :n]
+        re[..., size : size + n] = lo_re * sq_re - lo_im * sq_im
+        im[..., size : size + n] = lo_re * sq_im + lo_im * sq_re
+        sq_re, sq_im = sq_re * sq_re - sq_im * sq_im, 2.0 * sq_re * sq_im
+        size *= 2
+    table[..., :top] = table[..., : top : -1].conj()
+    return table
 
 
 def apply_interferometer(ket: FockKet, theta: float) -> FockKet:
@@ -282,16 +302,16 @@ def apply_interferometer(ket: FockKet, theta: float) -> FockKet:
     them into one mode, so the result is exact with no new truncation.
     Each shell is evolved in its eigenbasis: V (e^{i theta w} * (V^T psi)).
     """
-    c = ket.cutoff
-    d_out = 2 * c + 1
-    out = np.zeros((d_out, d_out), dtype=np.complex128)
-    for s in range(2 * c + 1):
+    c, top = ket.cutoff, 2 * ket.cutoff
+    phases = _phase_table(np.exp(1j * theta), top)
+    out = np.zeros((top + 1, top + 1), dtype=np.complex128)
+    for s in range(top + 1):
         lo, hi = max(0, s - c), min(s, c)
-        v, w = _shell_eig(s)
+        v = _shell_vectors(s)
         ks = np.arange(lo, hi + 1)
         coeffs = v[lo : hi + 1].T @ ket.amplitudes[ks, s - ks]
         kk = np.arange(s + 1)
-        out[kk, s - kk] = v @ (np.exp(1j * theta * w) * coeffs)
+        out[kk, s - kk] = v @ (phases[top - s : top + s + 1 : 2] * coeffs)
     return FockKet(out, tail_bound=ket.tail_bound)
 
 
@@ -380,47 +400,30 @@ def parity_expectation_fock(ket: FockKet) -> float:
     return float(np.sum(pops * signs[None, :]))
 
 
-@lru_cache(maxsize=4)
-def _shell_pairs(cutoff: int) -> tuple[tuple[tuple[int, int], ...], NDArray[np.intp], NDArray[np.intp]]:
-    """Where the shell blocks sit inside the cutoff space.
+def rotated_parity(cutoff: int, theta) -> NDArray[np.float64]:
+    """Heisenberg-picture parity of mode 2: the diagonal of U^dag P U.
 
-    Returns, per shell s, the range lo..hi of mode-1 occupations with both
-    occupations <= cutoff, and the flat (row, col) index of every entry of
-    every restricted block, shell by shell and row-major within a block.
+    U and P are block-diagonal in total photon number and P H P = -H, so
+    U(theta)^dag P U(theta) = P U(2*theta), whose entry at |k, s-k> is
+    (-1)^(s-k) * sum_j V[k, j]^2 * cos(2*theta*(2j - s)), read from one table
+    of powers of e^{2i theta}.  Returns a real array of shape theta.shape +
+    ((cutoff+1)**2,) indexed n1*(cutoff+1) + n2; a batch row equals the
+    scalar call at its angle.  For a state with no coherence inside a shell,
+    populations @ rotated_parity is the parity after the interferometer.
     """
-    d = cutoff + 1
-    ranges, rows, cols = [], [], []
-    for s in range(2 * cutoff + 1):
-        lo, hi = max(0, s - cutoff), min(s, cutoff)
-        keep = np.arange(lo, hi + 1)
-        flat = keep * d + (s - keep)
-        ranges.append((lo, hi))
-        rows.append(np.repeat(flat, flat.size))
-        cols.append(np.tile(flat, flat.size))
-    return tuple(ranges), _frozen(np.concatenate(rows)), _frozen(np.concatenate(cols))
-
-
-def rotated_parity(cutoff: int, theta) -> NDArray[np.complex128]:
-    """Heisenberg-picture parity of mode 2: U^dag P U on the cutoff space.
-
-    Both U and P are block-diagonal in total photon number, and P flips the
-    sign of the shell Hamiltonian (P H P = -H), so U(theta)^dag P U(theta) =
-    P U(2*theta): each shell block is one product on the rows with both mode
-    occupations <= cutoff.  Returns the entries M[rows, cols] of those blocks
-    at the _shell_pairs(cutoff) positions, the only places where M is
-    non-zero; a 1-D theta gives one such row per angle.  For any state
-    supported on that space, tr(rho * M) equals the parity measured after
-    the interferometer, with no truncation error.
-    """
-    phase = 2j * np.asarray(theta, dtype=np.float64)[..., None, None]
-    blocks = []
-    for s, (lo, hi) in enumerate(_shell_pairs(cutoff)[0]):
-        v, w = _shell_eig(s)
-        kept = v[lo : hi + 1]
-        signs = 1.0 - 2.0 * ((s - np.arange(lo, hi + 1)) % 2)
-        block = signs[:, None] * ((kept * np.exp(phase * w)) @ kept.T)
-        blocks.append(block.reshape(*block.shape[:-2], (hi - lo + 1) ** 2))
-    return np.concatenate(blocks, axis=-1)
+    theta = np.asarray(theta, dtype=np.float64)
+    d, top = cutoff + 1, 2 * cutoff
+    # cos(2*theta*(2j - s)) at [..., s, j] for j <= s, one row per shell.
+    rows, cols = np.ogrid[: top + 1, : top + 1]
+    cosines = _phase_table(np.exp(2j * theta), top).real[..., np.clip(top + 2 * cols - rows, 0, 2 * top)]
+    out = np.empty(theta.shape + (d * d,))
+    for s in range(top + 1):
+        ks = np.arange(max(0, s - cutoff), min(s, cutoff) + 1)
+        # C order keeps each angle's sums the same as in a scalar call.
+        terms = np.multiply(_shell_vectors(s)[ks] ** 2, cosines[..., None, s, : s + 1], order="C")
+        out[..., ks * d + s - ks] = terms.sum(axis=-1)
+    out *= 1.0 - 2.0 * (np.arange(d * d) % d % 2)  # (-1)^n2
+    return out
 
 
 # -- oracle evaluation -------------------------------------------------------
@@ -454,14 +457,12 @@ def oracle_parity_table(n: float, thetas, cases, cutoff: int | None = None) -> d
                 out = apply_interferometer(ket, th)
                 results[i, j] = parity_expectation_fock(out)
     if lossy:
-        # tr(rho M) = sum of rho[q, p] * M[p, q]; M vanishes off the shell
-        # blocks, so only rho's entries there are kept.
-        _, rows, cols = _shell_pairs(ket.cutoff)
-        shell_rho = np.empty((len(lossy), rows.size), dtype=np.complex128)
-        for row, i in zip(shell_rho, lossy):
+        # Only populations reach tr(rho M); see the module docstring.
+        pops = np.empty((len(lossy), ket.amplitudes.size))
+        for row, i in zip(pops, lossy):
             t1, t2 = cases[i]
-            row[:] = loss_channel(loss_channel(FockDensity.from_ket(ket), 1, t1), 2, t2).matrix[cols, rows]
-        values = np.real(shell_rho @ rotated_parity(ket.cutoff, thetas).T)
+            row[:] = loss_channel(loss_channel(FockDensity.from_ket(ket), 1, t1), 2, t2).matrix.diagonal().real
+        values = pops @ rotated_parity(ket.cutoff, thetas).T
         for i, row in zip(lossy, values):
             for j, value in enumerate(row):
                 results[i, j] = float(value)

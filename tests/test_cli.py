@@ -396,6 +396,14 @@ def test_config_missing_file(capsys):
     assert code == 1
 
 
+def test_config_empty_path_is_refused(capsys):
+    # an empty path names no readable file; it must not fall back to the defaults
+    code, out, err = run_cli(capsys, "signal", "--config", "", "--theta-steps", "3")
+    assert code == 1
+    assert out == ""
+    assert "cannot read config" in err
+
+
 HUGE_INT = "1" + "0" * 400
 
 

@@ -540,17 +540,16 @@ def test_rotated_parity_matches_schroedinger_picture():
 
 
 def test_rotated_parity_at_zero_is_diagonal():
-    # place the returned shell-block entries in the d^2 x d^2 operator
-    _, rows, cols = fock._shell_pairs(3)
-    m = np.zeros((16, 16), dtype=np.complex128)
-    m[rows, cols] = rotated_parity(3, 0.0)
-    d = np.diagonal(m).real
-    assert np.allclose(m, np.diag(d), atol=1e-14)
-    # entries alternate with the photon number of the measured mode
+    # at theta = 0 the operator is parity itself: diagonal, with entries
+    # alternating in the photon number of the measured mode
+    m = _per_shell_parity(3, 0.0, 2)
+    assert np.allclose(m, np.diag(np.diagonal(m)), atol=1e-14)
+    diag = rotated_parity(3, 0.0)
+    assert diag.dtype == np.float64 and diag.shape == (16,)
     dim = 4
     for n1 in range(dim):
         for n2 in range(dim):
-            assert d[n1 * dim + n2] == pytest.approx((-1.0) ** n2, abs=1e-14)
+            assert diag[n1 * dim + n2] == pytest.approx((-1.0) ** n2, abs=1e-14)
 
 
 def _per_shell_parity(cutoff, theta, mode):
@@ -574,18 +573,78 @@ def _per_shell_parity(cutoff, theta, mode):
 @pytest.mark.parametrize("mode", [1, 2])
 def test_rotated_parity_matches_per_shell_construction(cutoff, mode):
     # rotated_parity measures mode 2.  The interferometer is symmetric under
-    # swapping the modes, so the mode-1 operator is the mode-2 one with both
-    # occupations swapped in every row and column index.
+    # swapping the modes, so the mode-1 diagonal is the mode-2 one with the
+    # two occupations swapped.
     d = cutoff + 1
-    _, rows, cols = fock._shell_pairs(cutoff)
-    if mode == 1:
-        rows, cols = (rows % d) * d + rows // d, (cols % d) * d + cols // d
     for theta in (0.0, 0.31, np.pi / 4, 2.2):
-        want = _per_shell_parity(cutoff, theta, mode)
-        assert np.max(np.abs(rotated_parity(cutoff, theta) - want[rows, cols])) <= 1e-14
-        # nothing of the operator lies off the returned entries
-        want[rows, cols] = 0.0
-        assert not want.any()
+        got = rotated_parity(cutoff, theta)
+        if mode == 1:
+            got = got.reshape(d, d).T.reshape(-1)
+        want = np.diagonal(_per_shell_parity(cutoff, theta, mode))
+        assert np.max(np.abs(want.imag)) <= 1e-14
+        assert np.max(np.abs(got - want.real)) <= 1e-14
+
+
+@pytest.mark.parametrize("cutoff", range(1, 7))
+def test_lossy_parity_is_read_from_populations(cutoff):
+    # loss keeps each mode's ket-bra photon-number difference, so densities
+    # derived from the squeezed vacuum hold no coherence inside a shell and
+    # tr(rho M) over the full operator needs only rho's diagonal
+    for n in (0.5, 2.0):
+        t = n / (n + 2.0)
+        amps = np.diag(np.sqrt(t ** np.arange(cutoff + 1)))
+        amps /= np.linalg.norm(amps)  # the squeezed vacuum, cut and renormalized
+        ket = FockKet(amps, tail_bound=amps[-1, -1] ** 2)
+        for t1, t2 in ((1.0, 1.0), (0.5, 0.8), (0.93, 0.27), (0.0, 0.6)):
+            rho = loss_channel(loss_channel(FockDensity.from_ket(ket), 1, t1), 2, t2).matrix
+            pops = np.diagonal(rho).real
+            for theta in (0.0, 0.31, np.pi / 4, 2.2):
+                full = np.trace(rho @ _per_shell_parity(cutoff, theta, 2))
+                assert abs(full.imag) <= 1e-14
+                assert abs(full.real - pops @ rotated_parity(cutoff, theta)) <= 1e-14
+
+
+# -- angles far outside one period ---------------------------------------------
+
+
+def _reduced(theta, period_factor):
+    # the angle in (-pi, pi] / period_factor with the same e^{i*factor*theta};
+    # libm reduces the large argument exactly
+    return float(np.angle(np.exp(1j * period_factor * theta))) / period_factor
+
+
+@pytest.mark.parametrize("theta", [1e10, -3e12, 1e16, 1e300])
+def test_rotated_parity_at_large_angles(theta):
+    # the operator depends on theta only through e^{2i theta}
+    for cutoff in (6, 33):
+        got = rotated_parity(cutoff, theta)
+        want = rotated_parity(cutoff, _reduced(theta, 2.0))
+        assert np.max(np.abs(got - want)) <= 1e-13
+
+
+@pytest.mark.parametrize("theta", [1e10, -3e12, 1e16, 1e300])
+def test_interferometer_at_large_angles(theta):
+    # the shell spectrum is integer, so U depends on theta only through e^{i theta}
+    ket = tmsv_ket(2.0)
+    got = apply_interferometer(ket, theta).amplitudes
+    want = apply_interferometer(ket, _reduced(theta, 1.0)).amplitudes
+    assert np.max(np.abs(got - want)) <= 1e-13
+
+
+@pytest.mark.parametrize("theta", [1e10, 1e300])
+def test_oracle_matches_pipeline_at_large_angles(theta):
+    from polrot.detection import pipeline_signal
+    from polrot.elements import PipelineSpec
+
+    n = 0.5
+    cases = [None] + [(t1, t2) for t1 in (0.5, 0.8, 1.0) for t2 in (0.5, 0.8, 1.0)]
+    table = oracle_parity_table(n, [theta], cases)
+    for i, case in enumerate(cases):
+        if case is None:
+            spec = PipelineSpec.lossless(theta, n)
+        else:
+            spec = PipelineSpec.generation_loss(theta, n, *case)
+        assert table[i, 0] == pytest.approx(pipeline_signal(spec), abs=1e-9)
 
 
 # -- oracle vs covariance pipeline --------------------------------------------
